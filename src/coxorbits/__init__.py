@@ -36,7 +36,6 @@ from .errors import (
     ShapeNotFound,
     TypeMismatch,
     UnsupportedType,
-    WrongArity,
 )
 from .scalars import Scalar
 
@@ -54,7 +53,6 @@ __all__ = [
     "ShapeNotFound",
     "TypeMismatch",
     "UnsupportedType",
-    "WrongArity",
     "build_group",
 ]
 

@@ -168,14 +168,15 @@ def classify_element(
     agreed (they provably do, which makes this a useful cross-check).
     """
     w = g.group
-    target = parabolic_closure(g)
-    target_order = target.order
+    ids = _fixing_reflections(w, [g.comps])
+    below = frozenset(ids)
+    target = w.closure([w.reflection(t) for t in ids])
     witness = None
     outcomes: set[bool] = set()
     for fact in reduced_factorizations(g, budget):
-        gens = [w.reflection(t) for t in fact]
-        generated = w.closure(gens)
-        hit = generated.order == target_order
+        # the factors lie in the parabolic closure, so they generate it
+        # exactly when their reflection closure is all of ``below``
+        hit = w.reflection_closure(fact) == below
         outcomes.add(hit)
         if hit and witness is None:
             witness = fact

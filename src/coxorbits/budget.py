@@ -49,18 +49,6 @@ class Budget:
         if self.max_mem_mb is not None:
             total = sum(self.spent.values())
             if total * self.BYTES_PER_UNIT > self.max_mem_mb * 1_000_000:
-                raise CapExceeded("max_mem_mb", int(self.max_mem_mb), needed=total)
+                raise CapExceeded("max_mem_mb", self.max_mem_mb, needed=total)
         if self.timeout_s is not None and time.monotonic() - self._t0 > self.timeout_s:
-            raise CapExceeded("timeout_s", int(self.timeout_s))
-
-    def sub_budget(self) -> Budget:
-        """A fresh counter sharing the same limits and deadline origin."""
-        b = Budget(
-            max_tuples=self.max_tuples,
-            max_states=self.max_states,
-            max_elements=self.max_elements,
-            max_mem_mb=self.max_mem_mb,
-            timeout_s=self.timeout_s,
-        )
-        b._t0 = self._t0
-        return b
+            raise CapExceeded("timeout_s", self.timeout_s)

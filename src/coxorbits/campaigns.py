@@ -360,25 +360,30 @@ def _items_lr(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
     return items
 
 
+def _prime_powers(m: int) -> list[int]:
+    """The prime-power components of ``m``, by increasing prime."""
+    powers = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            pk = 1
+            while m % d == 0:
+                pk *= d
+                m //= d
+            powers.append(pk)
+        d += 1
+    if m > 1:
+        powers.append(m)
+    return powers
+
+
 def _min_min_expected(w: CoxeterGroup) -> bool:
     """The classification's prediction: false exactly when some dihedral
     factor has three or more distinct prime factors."""
-    for f, ir in zip(w.factors, w.datum.factors):
-        if isinstance(f, DihedralFactor):
-            m = f.m
-            primes = 0
-            d = 2
-            while d * d <= m:
-                if m % d == 0:
-                    primes += 1
-                    while m % d == 0:
-                        m //= d
-                d += 1
-            if m > 1:
-                primes += 1
-            if primes >= 3:
-                return False
-    return True
+    return not any(
+        isinstance(f, DihedralFactor) and len(_prime_powers(f.m)) >= 3
+        for f in w.factors
+    )
 
 
 def _items_min_min(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
@@ -400,19 +405,7 @@ def _coprime_splits(m: int) -> list[tuple[int, int, int]]:
     """All ways to write m as a product of three pairwise-coprime parts > 1,
     as ascending triples: the prime-power components distributed over three
     nonempty blocks."""
-    powers = []
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            pk = 1
-            while rest % d == 0:
-                pk *= d
-                rest //= d
-            powers.append(pk)
-        d += 1
-    if rest > 1:
-        powers.append(rest)
+    powers = _prime_powers(m)
     splits = set()
     for assignment in itertools.product(range(3), repeat=len(powers)):
         if set(assignment) != {0, 1, 2}:

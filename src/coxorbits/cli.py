@@ -42,7 +42,8 @@ def parse_group(spec: str) -> CoxeterDatum:
 def _env_budget(environ=None) -> dict:
     """Default budget caps from the environment, e.g.
     ``COXORBITS_BUDGET=max_tuples=5000000,timeout_s=60``."""
-    text = (environ or os.environ).get(ENV_BUDGET, "").strip()
+    env = os.environ if environ is None else environ
+    text = env.get(ENV_BUDGET, "").strip()
     out: dict = {}
     if not text:
         return out

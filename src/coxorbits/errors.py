@@ -30,7 +30,7 @@ class UnsupportedType(CoxorbitsError):
 class CapExceeded(CoxorbitsError):
     """A configured resource cap was hit before the computation finished."""
 
-    def __init__(self, cap: str, limit: int, needed: int | None = None):
+    def __init__(self, cap: str, limit: float, needed: int | None = None):
         self.cap = cap
         self.limit = limit
         self.needed = needed
@@ -64,10 +64,6 @@ class TypeMismatch(CoxorbitsError):
 
 class NotGenerating(CoxorbitsError):
     """A reflection set was required to generate the group but does not."""
-
-
-class WrongArity(CoxorbitsError):
-    """A tuple has the wrong number of entries for the requested operation."""
 
 
 class ShapeNotFound(CoxorbitsError):

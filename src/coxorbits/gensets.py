@@ -15,8 +15,9 @@ Three specialized models drive the analysis:
 * dihedral groups reduce to gcd arithmetic on the angle multiples of a
   triple of lines, with a Chinese-remainder construction producing triples
   that generate while no pair does;
-* everything else falls back to exact subgroup closures, made affordable by
-  sweeping subsets only up to conjugacy.
+* everything else decides generation on the reflection set: a set generates
+  exactly when its closure under mutual conjugation is all of T, and
+  subset sweeps run only up to conjugacy.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
+from .absorder import _root_rank_tracker
 from .budget import Budget
 from .errors import (
     BadFactorization,
@@ -48,15 +50,6 @@ class GenSetReport:
     is_minimal: bool
     contains_minimum: bool
     witness: tuple[int, ...] | None
-
-    def as_json(self) -> dict:
-        return {
-            "reflections": list(self.reflections),
-            "generates": self.generates,
-            "is_minimal": self.is_minimal,
-            "contains_minimum": self.contains_minimum,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 def analyze_genset(
@@ -143,15 +136,6 @@ class MinMinReport:
     counterexamples: tuple[tuple[int, ...], ...]
     orbits_checked: int
 
-    def as_json(self) -> dict:
-        return {
-            "group": self.group,
-            "mode": self.mode,
-            "holds": self.holds,
-            "counterexamples": [list(c) for c in self.counterexamples],
-            "orbits_checked": self.orbits_checked,
-        }
-
 
 def check_min_equals_min(
     w: CoxeterGroup, mode: str = "subsets", budget: Budget | None = None
@@ -196,60 +180,39 @@ def _min_min_subsets(w, budget) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _min_min_subgroups(w, budget) -> tuple[list[tuple[int, ...]], int]:
-    # collect all reflection subgroups as closures of at-most-rank-size
-    # reflection sets (every rank-r reflection subgroup is generated by r
-    # reflections), then run the rank+1 test inside each
-    seen: dict[str, tuple] = {}
+    # a reflection subgroup is fixed by its reflection set and generated by
+    # at most rank reflections, so the distinct reflection closures of those
+    # subsets are the reflection subgroups; run the rank+1 test inside each
+    subgroups: set[frozenset[int]] = set()
     for size in range(w.rank + 1):
         for subset in itertools.combinations(range(w.num_reflections), size):
             if budget is not None:
                 budget.charge("max_tuples")
-            sub = w.closure([w.reflection(t) for t in subset])
-            seen.setdefault(sub.canonical_key, (sub, sub.reflection_ids))
+            subgroups.add(w.reflection_closure(subset))
     counter = []
-    checked = 0
-    for key in sorted(seen):
-        sub, refl_inside = seen[key]
-        rank = _reflection_set_rank(w, refl_inside)
-        checked += 1
-        for x in itertools.combinations(refl_inside, rank + 1):
+    for inside in sorted(tuple(sorted(s)) for s in subgroups):
+        target = frozenset(inside)
+        rank = _reflection_set_rank(w, inside)
+        for x in itertools.combinations(inside, rank + 1):
             if budget is not None:
                 budget.charge("max_tuples")
-            closure_x = w.closure([w.reflection(t) for t in x])
-            if closure_x.order != sub.order:
+            if w.reflection_closure(x) != target:
                 continue
             if not any(
-                w.closure([w.reflection(t) for t in y]).order == sub.order
+                w.reflection_closure(y) == target
                 for y in itertools.combinations(x, rank)
             ):
                 counter.append(x)
-    return counter, checked
+    return counter, len(subgroups)
 
 
 def _reflection_set_rank(w: CoxeterGroup, refl_ids: Iterable[int]) -> int:
     """Dimension of the span of the reflections' root lines."""
+    state, insert = _root_rank_tracker(w)
     rank = 0
-    per_factor: dict[int, list] = {}
-    dihedral_lines: dict[int, set[int]] = {}
     for t in refl_ids:
-        fi, local = w.locate_reflection(t)
-        f = w.factors[fi]
-        if f.kind == "vector":
-            pivots = per_factor.setdefault(fi, [])
-            v = list(f.root_vector(local))
-            for lead, pivot in pivots:
-                if v[lead]:
-                    c = v[lead] / pivot[lead]
-                    v = [a - c * b for a, b in zip(v, pivot)]
-            lead = next((i for i, a in enumerate(v) if a), None)
-            if lead is not None:
-                pivots.append((lead, v))
-                rank += 1
-        else:
-            lines = dihedral_lines.setdefault(fi, set())
-            if local not in lines and len(lines) < 2:
-                lines.add(local)
-                rank += 1
+        state, grew = insert(state, t)
+        rank += grew
     return rank
 
 
@@ -580,14 +543,6 @@ class ClassMultisetReport:
     holds: bool
     multisets: tuple[tuple[str, ...], ...]
     generating_orbits: int
-
-    def as_json(self) -> dict:
-        return {
-            "group": self.group,
-            "holds": self.holds,
-            "multisets": [list(m) for m in self.multisets],
-            "generating_orbits": self.generating_orbits,
-        }
 
 
 def genset_class_multiset_invariance(

@@ -154,10 +154,6 @@ class VectorFactor:
         ]
         return Matrix.from_columns(cols)
 
-    def kernel_x_basis(self, p: Comp) -> list[Vector]:
-        """Basis, in simple-root coordinates, of the fixed essential space."""
-        return linalg.kernel_basis(self._difference_matrix(p))
-
     @cached_property
     def _root_simple_gram(self) -> list[tuple[Scalar, ...]]:
         return [
@@ -431,27 +427,45 @@ class CoxeterGroup:
     @cached_property
     def refl_class_labels(self) -> tuple[int, ...]:
         """W-conjugacy class of each reflection, labelled by its least member."""
-        table = self.refl_conj_table
-        simples = self.simple_reflection_ids
         labels = [-1] * self.num_reflections
         for t in range(self.num_reflections):
-            if labels[t] >= 0:
-                continue
-            orbit = {t}
-            frontier = [t]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for s in simples:
-                        b = table[a][s]
-                        if b not in orbit:
-                            orbit.add(b)
-                            new.append(b)
-                frontier = new
-            label = min(orbit)
-            for a in orbit:
-                labels[a] = label
+            if labels[t] < 0:  # then no smaller reflection is in t's class
+                for a in self.reflection_closure([t], self.simple_reflection_ids):
+                    labels[a] = t
         return tuple(labels)
+
+    def reflection_closure(
+        self, seeds: Iterable[int], gens: Iterable[int] | None = None
+    ) -> frozenset[int]:
+        """Global ids of the reflections reached from ``seeds`` by repeated
+        conjugation with the reflections ``gens`` (default: the seeds).
+
+        With the default this is the reflection set of the subgroup the
+        seeds generate.  Each conjugacy class of reflections of a reflection
+        subgroup carries a sign character, so every generating set meets
+        every class, and each reflection of the subgroup is a conjugate of
+        a generator (Dyer, *Reflection subgroups of Coxeter systems*, 1990).
+        """
+        seeds = tuple(seeds)
+        gens = seeds if gens is None else tuple(gens)
+        n = self.num_reflections
+        for t in seeds + gens:
+            if not 0 <= t < n:
+                raise IndexOutOfRange(f"reflection index {t} not in [0, {n})")
+        table = self.refl_conj_table
+        orbit = set(seeds)
+        frontier = list(orbit)
+        while frontier:
+            new = []
+            for a in frontier:
+                row = table[a]
+                for g in gens:
+                    b = row[g]
+                    if b not in orbit:
+                        orbit.add(b)
+                        new.append(b)
+            frontier = new
+        return frozenset(orbit)
 
     # -- materialization ---------------------------------------------------
 
@@ -548,44 +562,11 @@ class CoxeterGroup:
     def generates_whole(self, refl_ids: Iterable[int]) -> bool:
         """Whether the given reflections generate the full group.
 
-        Stops early: a proper subgroup has order at most half the group order,
-        so the closure can be abandoned as soon as it passes that bound.
+        Decided on the reflection set alone: a reflection subgroup is
+        generated by the reflections it contains, so the given reflections
+        generate ``W`` exactly when their conjugation closure is all of T.
         """
-        gen_comps = [self.reflection(t).comps for t in refl_ids]
-        half = self.census_order // 2
-        if len(self.factors) == 1 and self.factors[0].kind == "vector":
-            # bare-permutation walk, skipping per-step tuple packing
-            gens = [c[0] for c in gen_comps]
-            seen = {self.identity.comps[0]}
-            seen.update(gens)
-            frontier = list(seen)
-            while frontier:
-                if len(seen) > half:
-                    return True
-                new = []
-                for g in frontier:
-                    for s in gens:
-                        h = tuple(map(g.__getitem__, s))
-                        if h not in seen:
-                            seen.add(h)
-                            new.append(h)
-                frontier = new
-            return len(seen) > half
-        seen = {self.identity.comps}
-        seen.update(gen_comps)
-        frontier = list(seen)
-        while frontier:
-            if len(seen) > half:
-                return True
-            new = []
-            for g in frontier:
-                for s in gen_comps:
-                    h = self.multiply_comps(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        new.append(h)
-            frontier = new
-        return len(seen) > half
+        return len(self.reflection_closure(refl_ids)) == self.num_reflections
 
     def conjugacy_class(
         self, h: GroupElement, sub: Subgroup | None = None

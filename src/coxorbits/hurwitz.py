@@ -24,7 +24,6 @@ campaigns measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .absorder import full_reflection_length, length_table, reflection_length
 from .budget import Budget
@@ -55,9 +54,6 @@ class Factorization:
             g = g * self.group.reflection(t)
         return g
 
-    def is_reduced(self) -> bool:
-        return len(self.factors) == reflection_length(self.product())
-
 
 @dataclass(frozen=True)
 class OrbitInvariant:
@@ -71,13 +67,6 @@ class OrbitInvariant:
     subgroup_key: str
     subgroup_order: int
     class_multiset: tuple[str, ...]
-
-    def as_json(self) -> dict:
-        return {
-            "subgroup_key": self.subgroup_key,
-            "subgroup_order": self.subgroup_order,
-            "class_multiset": list(self.class_multiset),
-        }
 
 
 @dataclass(frozen=True)
@@ -114,32 +103,18 @@ def hurwitz_move(
     return Factorization(fact.group, t[: i - 1] + pair + t[i + 1 :])
 
 
-def _conjugacy_label(conj, serial, gens: Iterable[int], t: int) -> str:
-    """Label of the conjugacy class of ``t`` in the subgroup generated by the
-    reflections ``gens``: the lexicographically minimal serialization over
-    the class (conjugation closure over generators)."""
-    orbit = {t}
-    frontier = [t]
-    gens = tuple(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = conj[a][g]
-                if b not in orbit:
-                    orbit.add(b)
-                    new.append(b)
-        frontier = new
-    return min(serial[x] for x in orbit)
-
-
 def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant:
-    """Invariant of the orbit through ``factors`` (computable at any member)."""
+    """Invariant of the orbit through ``factors`` (computable at any member).
+
+    The class of a factor inside the generated subgroup is its conjugation
+    closure under the support, labelled by its least serialization."""
     support = sorted(set(factors))
     sub = w.closure([w.reflection(t) for t in support])
-    conj = w.refl_conj_table
     serial = w.reflection_serializations
-    labels = {t: _conjugacy_label(conj, serial, support, t) for t in support}
+    labels = {
+        t: min(serial[x] for x in w.reflection_closure([t], support))
+        for t in support
+    }
     multiset = tuple(sorted(labels[t] for t in factors))
     return OrbitInvariant(
         subgroup_key=sub.canonical_key,

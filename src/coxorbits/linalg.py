@@ -28,16 +28,8 @@ def vector(entries: Iterable[Scalar | int]) -> Vector:
     return tuple(e if isinstance(e, Scalar) else Scalar.from_int(e) for e in entries)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
 
 
 def vec_scale(c: Scalar, u: Vector) -> Vector:

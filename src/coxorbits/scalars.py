@@ -63,10 +63,6 @@ class Scalar:
     def from_int(n: int) -> Scalar:
         return Scalar(Fraction(n))
 
-    @staticmethod
-    def from_fraction(q: Fraction) -> Scalar:
-        return Scalar(q)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:

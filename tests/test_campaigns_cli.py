@@ -5,6 +5,7 @@ import json
 import pytest
 
 from coxorbits import absorder
+from coxorbits.budget import Budget
 from coxorbits.campaigns import (
     CampaignConfig,
     Report,
@@ -16,7 +17,7 @@ from coxorbits.campaigns import (
     run_campaign,
 )
 from coxorbits.cli import _env_budget, main, parse_group
-from coxorbits.errors import ParseError, TypeMismatch
+from coxorbits.errors import CapExceeded, ParseError, TypeMismatch
 
 from conftest import cached_group
 
@@ -302,6 +303,22 @@ def test_env_budget_parsing(monkeypatch):
         _env_budget()
     monkeypatch.delenv("COXORBITS_BUDGET")
     assert _env_budget() == {}
+    # an explicit empty environment is not the process environment
+    monkeypatch.setenv("COXORBITS_BUDGET", "max_tuples=40")
+    assert _env_budget({}) == {}
+
+
+def test_cap_exceeded_reports_configured_limit():
+    late = Budget(timeout_s=0.5)
+    late._t0 -= 1.0
+    with pytest.raises(CapExceeded) as e:
+        late.charge("max_tuples")
+    assert (e.value.cap, e.value.limit) == ("timeout_s", 0.5)
+    small = Budget(max_mem_mb=0.0005)  # 500 bytes: two 200-byte units fit
+    small.charge("max_tuples", 2)
+    with pytest.raises(CapExceeded) as e:
+        small.charge("max_tuples")
+    assert (e.value.cap, e.value.limit) == ("max_mem_mb", 0.0005)
 
 
 def test_env_budget_applies_and_flags_win(monkeypatch, capsys):

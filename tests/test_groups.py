@@ -1,6 +1,9 @@
 """Group construction: labels, censuses, root systems, element arithmetic,
 closures and conjugacy.  Matrix action and permutation action are compared
 against each other as independent routes."""
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,11 +265,39 @@ def test_closure_of_simples_is_whole_group():
 def test_generates_whole_matches_closure_order():
     w = build_group("B3")
     ids = list(w.reflection_ids())
-    import itertools
-
     for pair in itertools.combinations(ids, 2):
         sub = w.closure([w.reflection(t) for t in pair])
         assert w.generates_whole(pair) == sub.is_whole_group
+
+
+@pytest.mark.parametrize("label", ["A2xI2(5)", "B2xA1", "I2(12)"])
+def test_reflection_closure_matches_element_closure(label):
+    """Every subset of size at most rank+1: the conjugation closure is the
+    reflection set of the element-closure subgroup."""
+    w = build_group(label)
+    for size in range(w.rank + 2):
+        for ids in itertools.combinations(w.reflection_ids(), size):
+            sub = w.closure([w.reflection(t) for t in ids])
+            assert w.reflection_closure(ids) == set(sub.reflection_ids), ids
+
+
+def test_reflection_closure_matches_element_closure_sampled_h3():
+    w = build_group("H3")
+    rng = random.Random(2209)
+    for _ in range(60):
+        ids = rng.sample(range(w.num_reflections), rng.randint(1, w.rank + 1))
+        sub = w.closure([w.reflection(t) for t in ids])
+        assert w.reflection_closure(ids) == set(sub.reflection_ids), ids
+        assert w.generates_whole(ids) == sub.is_whole_group
+
+
+def test_reflection_closure_rejects_bad_ids():
+    w = build_group("B3")
+    for bad in (-1, w.num_reflections):
+        with pytest.raises(IndexOutOfRange):
+            w.generates_whole([bad])
+        with pytest.raises(IndexOutOfRange):
+            w.reflection_closure([0], [bad])
 
 
 def test_closure_cap_raises():
