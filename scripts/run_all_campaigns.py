@@ -7,7 +7,7 @@ prints a summary table.  Exits nonzero if any item failed.
 
 Usage::
 
-    python3 scripts/run_all_campaigns.py --out-dir reports --jobs 4
+    python3 scripts/run_all_campaigns.py --out-dir reports
     python3 scripts/run_all_campaigns.py --only conjecture
     python3 scripts/run_all_campaigns.py --heavy     # adds the slow sweeps
 """
@@ -32,28 +32,28 @@ def rank2_offsets(label: str) -> tuple[int, ...]:
 
 
 def battery(heavy: bool) -> list[tuple[str, str, dict]]:
-    jobs: list[tuple[str, str, dict]] = []
+    runs: list[tuple[str, str, dict]] = []
     for label in ["A3", "B3", "H3", "D4"] + DIHEDRAL_SMALL:
-        jobs.append((label, "carter", {}))
+        runs.append((label, "carter", {}))
     for label in ["A3", "B2", "B3", "D4"] + DIHEDRAL_SMALL:
-        jobs.append((label, "pqc-characterization", {}))
+        runs.append((label, "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
-        jobs.append((label, "conjecture", {"offsets": rank2_offsets(label)}))
-        jobs.append((label, "lr-normal-form", {"offsets": rank2_offsets(label)}))
+        runs.append((label, "conjecture", {"offsets": rank2_offsets(label)}))
+        runs.append((label, "lr-normal-form", {"offsets": rank2_offsets(label)}))
     for label in ["A2", "A3", "B2"] + [f"I2({m})" for m in range(3, 9)]:
-        jobs.append((label, "min-full-transitivity", {}))
+        runs.append((label, "min-full-transitivity", {}))
     min_min = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]
     min_min += [f"I2({m})" for m in range(3, 33)]
     if heavy:
         min_min.append("F4")
-        jobs.append(("B3", "min-full-transitivity", {}))
+        runs.append(("B3", "min-full-transitivity", {}))
     for label in min_min:
-        jobs.append((label, "min-equals-min", {}))
+        runs.append((label, "min-equals-min", {}))
     for m in (30, 42, 60, 66, 70, 105):
-        jobs.append((f"I2({m})", "dihedral-crt", {}))
+        runs.append((f"I2({m})", "dihedral-crt", {}))
     for label in ["A3", "B2", "B3", "D4", "F4"] + DIHEDRAL_SMALL:
-        jobs.append((label, "class-multiset", {}))
-    return jobs
+        runs.append((label, "class-multiset", {}))
+    return runs
 
 
 def slug(label: str) -> str:
@@ -63,7 +63,6 @@ def slug(label: str) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="campaign-reports")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--only", help="run only this campaign")
     ap.add_argument(
         "--heavy", action="store_true", help="include the slow sweeps (F4, B3 full)"
@@ -77,7 +76,7 @@ def main() -> int:
     for label, campaign, kw in battery(args.heavy):
         if args.only and campaign != args.only:
             continue
-        cfg = CampaignConfig(group=label, campaign=campaign, jobs=args.jobs, **kw)
+        cfg = CampaignConfig(group=label, campaign=campaign, **kw)
         t0 = time.monotonic()
         report = run_campaign(cfg)
         path = out_dir / f"{campaign}-{slug(label)}.jsonl"

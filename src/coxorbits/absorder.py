@@ -277,7 +277,6 @@ def full_reflection_length(
     mult = w.refl_mult_table
     ids = w.element_ids()
     n_refl = w.num_reflections
-    whole = w.census_order
     start = ids[g.comps]
     base = lengths[start]
     state0, insert = _root_rank_tracker(w)

@@ -20,23 +20,21 @@ class Budget:
     """Caps on search work.  Counters accumulate per instance.
 
     ``max_tuples`` bounds branch edges explored while enumerating reflection
-    tuples; ``max_states`` bounds states visited in orbit walks;
-    ``max_elements`` bounds subgroup materialization and is enforced by the
-    group layer.  ``max_mem_mb`` converts to a cap on the total tracked
-    units through a coarse bytes-per-unit estimate, deliberately avoiding
-    live memory sampling so that capped runs stay deterministic.
+    tuples; ``max_states`` bounds states visited in orbit walks.
+    ``max_mem_mb`` converts to a cap on the total tracked units through a
+    coarse bytes-per-unit estimate, deliberately avoiding live memory
+    sampling so that capped runs stay deterministic.
     ``timeout_s`` is wall-clock, measured from construction.
     """
 
     max_tuples: int | None = None
     max_states: int | None = None
-    max_elements: int | None = None
     max_mem_mb: float | None = None
     timeout_s: float | None = None
     spent: dict[str, int] = field(default_factory=dict)
     _t0: float = field(default_factory=time.monotonic)
 
-    #: rough bytes per tracked unit (a tuple, orbit state, or group element),
+    #: rough bytes per tracked unit (a tuple or an orbit state),
     #: used to convert the memory cap into a deterministic unit cap
     BYTES_PER_UNIT = 200
 

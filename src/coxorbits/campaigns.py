@@ -3,16 +3,14 @@
 A campaign pairs one group with one named check (length formulas, orbit
 bijections, generating-set classification, and so on) and emits a JSON-lines
 report: a versioned header, a timestamp, one record per item in canonical
-order, and a summary footer.  Reports are deterministic for a fixed config,
-including under a worker pool, because items are enumerated up front and
-records are emitted in item order no matter when workers finish.  Per-item
-budget caps mark items skipped instead of aborting the run.
+order, and a summary footer.  Reports are deterministic for a fixed config:
+items are enumerated up front and run one after another in that order.
+Per-item budget caps mark items skipped instead of aborting the run.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import gcd
@@ -51,8 +49,6 @@ class CampaignConfig:
     max_tuples: int | None = None
     max_mem_mb: float | None = None
     timeout_s: float | None = None
-    jobs: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if self.campaign not in CAMPAIGN_NAMES:
@@ -63,27 +59,22 @@ class CampaignConfig:
             value = getattr(self, cap)
             if value is not None and value <= 0:
                 raise ValueError(f"{cap} must be positive, got {value}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def item_budget(self) -> Budget | None:
         """A fresh budget per item, or None when every cap is unlimited."""
-        if all(
-            x is None
-            for x in (self.max_tuples, self.max_mem_mb, self.timeout_s)
-        ) and self.max_elements is None:
+        caps = (self.max_tuples, self.max_mem_mb, self.timeout_s)
+        if all(x is None for x in caps):
             return None
         return Budget(
             max_tuples=self.max_tuples,
             max_states=self.max_tuples,
-            max_elements=self.max_elements,
             max_mem_mb=self.max_mem_mb,
             timeout_s=self.timeout_s,
         )
 
     def config_record(self) -> dict:
-        """The semantic config echoed into the report header.  Parallelism
-        and output location are excluded: they must not change the bytes."""
+        """The config echoed into the report header: every field, so a
+        stored report names everything needed to reproduce it."""
         return {
             "group": self.group,
             "campaign": self.campaign,
@@ -186,8 +177,8 @@ def _charge(budget: Budget | None, cap: str, amount: int = 1) -> None:
 
 
 def _warm_tables(w: CoxeterGroup) -> None:
-    """Materialize the shared lazy tables before workers fan out, so threads
-    only read them."""
+    """Build the shared lazy tables before the first item, so per-item time
+    is per-item work."""
     w.refl_conj_table
     w.reflection_serializations
     w.simple_reflection_ids
@@ -490,9 +481,11 @@ _CAMPAIGNS = {
 def run_campaign(cfg: CampaignConfig) -> Report:
     """Run one campaign and return its report.
 
-    Item enumeration (and any shared preparation) happens sequentially, so
-    worker threads only ever run independent per-item checks; records are
-    emitted in item order regardless of completion order.
+    ``max_elements`` caps the group, not an item: a campaign that lists the
+    whole group raises :class:`CapExceeded` before any item when the group
+    is larger.  The other caps are per item.  Items run in enumeration order, each with a fresh budget; the
+    deadline is checked once more after an item returns, so an item that
+    never charges its budget still cannot overrun ``timeout_s``.
     """
     cap = cfg.max_elements
     w = build_group(cfg.group) if cap is None else build_group(cfg.group, cap=cap)
@@ -500,17 +493,15 @@ def run_campaign(cfg: CampaignConfig) -> Report:
 
     def run_item(item: Item) -> dict:
         key, work = item
+        budget = cfg.item_budget()
         try:
-            passed, payload = work(cfg.item_budget())
+            passed, payload = work(budget)
+            _charge(budget, "max_tuples", 0)
         except CapExceeded as e:
             return {**key, "status": "skip", "cap": e.cap}
         return {**key, "status": "pass" if passed else "fail", **payload}
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_item, items))
-    else:
-        records = [run_item(item) for item in items]
+    records = [run_item(item) for item in items]
 
     passed = sum(1 for r in records if r["status"] == "pass")
     failed = sum(1 for r in records if r["status"] == "fail")

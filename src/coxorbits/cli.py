@@ -23,7 +23,6 @@ from .campaigns import (
     run_campaign,
 )
 from .errors import CoxorbitsError
-from .roots import CoxeterDatum, parse_datum
 
 ENV_BUDGET = "COXORBITS_BUDGET"
 _BUDGET_KEYS = {
@@ -32,11 +31,6 @@ _BUDGET_KEYS = {
     "max_mem_mb": float,
     "timeout_s": float,
 }
-
-
-def parse_group(spec: str) -> CoxeterDatum:
-    """Parse a group spec such as ``B3``, ``I2(30)`` or ``A2xI2(5)``."""
-    return parse_datum(spec)
 
 
 def _env_budget(environ=None) -> dict:
@@ -84,11 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated length offsets above the reflection length "
         "(campaigns: conjecture, lr-normal-form); default 0,2",
     )
-    p.add_argument("--max-elements", type=int, help="cap on materialized elements")
+    p.add_argument(
+        "--max-elements",
+        type=int,
+        help="cap on materialized group elements; a campaign that lists the "
+        "whole group exits 2 before any item when the group is larger",
+    )
     p.add_argument("--max-tuples", type=int, help="cap on enumerated tuples/states")
     p.add_argument("--max-mem-mb", type=float, help="approximate memory cap in MB")
-    p.add_argument("--timeout-s", type=float, help="per-item wall clock cap")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument(
+        "--timeout-s",
+        type=float,
+        help="per-item wall clock cap, also checked when the item returns",
+    )
     p.add_argument("--out", help="write the JSON-lines report to this path")
     p.add_argument(
         "--golden",
@@ -101,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        parse_group(args.group)
         env = _env_budget()
         caps = {
             key: getattr(args, key) if getattr(args, key) is not None else env.get(key)
@@ -111,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             group=args.group,
             campaign=args.campaign,
             offsets=tuple(args.offsets),
-            jobs=args.jobs,
-            out=args.out,
             **caps,
         )
         report = run_campaign(cfg)

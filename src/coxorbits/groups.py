@@ -484,17 +484,7 @@ class CoxeterGroup:
             if self.census_order > self.cap:
                 raise CapExceeded("max_elements", self.cap, self.census_order)
             gens = [self.reflection(t).comps for t in self.simple_reflection_ids]
-            seen = {self.identity.comps}
-            frontier = [self.identity.comps]
-            while frontier:
-                new = []
-                for g in frontier:
-                    for s in gens:
-                        h = self.multiply_comps(g, s)
-                        if h not in seen:
-                            seen.add(h)
-                            new.append(h)
-                frontier = new
+            seen = self._closure_comps(gens, self.cap)
             assert len(seen) == self.census_order, (len(seen), self.census_order)
             ordered = sorted(seen, key=self.serialize_comps)
             self._cache["elements"] = tuple(

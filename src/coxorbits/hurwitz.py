@@ -123,6 +123,15 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
     )
 
 
+def _doubled_pairs_lead(t: tuple[int, ...], base_length: int) -> bool:
+    """Whether the first ``len(t) - base_length`` factors of ``t`` are
+    doubled pairs (the excess must be even)."""
+    excess = len(t) - base_length
+    if excess % 2:
+        return False
+    return all(t[2 * k] == t[2 * k + 1] for k in range(excess // 2))
+
+
 def _walk_orbit(
     w: CoxeterGroup,
     start: tuple[int, ...],
@@ -141,10 +150,7 @@ def _walk_orbit(
     shape_witness = None
 
     def in_shape(t: tuple[int, ...]) -> bool:
-        if base_length is None:
-            return False
-        pairs = (n - base_length) // 2
-        return all(t[2 * k] == t[2 * k + 1] for k in range(pairs))
+        return base_length is not None and _doubled_pairs_lead(t, base_length)
 
     ref_invariant = orbit_invariant(w, start) if check_invariant else None
     seen = {start}
@@ -379,10 +385,4 @@ def find_lr_witness(
 def is_lr_shape(fact: Factorization) -> bool:
     """Whether ``fact`` consists of doubled pairs followed by a reduced
     factorization of its product."""
-    base = reflection_length(fact.product())
-    n = len(fact.factors)
-    if (n - base) % 2:
-        return False
-    pairs = (n - base) // 2
-    t = fact.factors
-    return all(t[2 * k] == t[2 * k + 1] for k in range(pairs))
+    return _doubled_pairs_lead(fact.factors, reflection_length(fact.product()))
