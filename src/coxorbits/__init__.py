@@ -37,6 +37,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedType,
 )
+from .groups import build_group
 from .scalars import Scalar
 
 __all__ = [
@@ -56,10 +57,3 @@ __all__ = [
     "build_group",
 ]
 
-
-def build_group(spec: str, cap: int | None = None):
-    """Build the finite Coxeter group named by ``spec`` (e.g. ``"B3"``,
-    ``"I2(30)"``, ``"A2xA1"``)."""
-    from .groups import build_group as _build
-
-    return _build(spec) if cap is None else _build(spec, cap=cap)

@@ -3,7 +3,11 @@
 Reflection length is computed geometrically as the codimension of the fixed
 space, never by graph search; the Cayley-graph distance is kept in a separate
 module as an independent check.  Absolute order is the partial order
-``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.
+``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  All the geometry here runs on the
+factors' span routine (see :mod:`~coxorbits.groups`), without branching on
+the factor kind: lengths are moved-space dimensions, a reflection fixes a
+common fixed space when its root lies in the sum of the moved spaces, and
+root ranks are counted by inserting roots into the same basis.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import linalg
 from .budget import Budget
 from .errors import GroupMismatch
 from .groups import CoxeterGroup, GroupElement, Subgroup
@@ -50,38 +53,16 @@ def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
 
 def _fixing_reflections(w: CoxeterGroup, comps_list: list[tuple]) -> list[int]:
     """Global ids of all reflections fixing (pointwise) the common fixed
-    space of the given elements."""
+    space of the given elements: those whose root lies in the sum of the
+    moved spaces, since ``(cap Fix g_k)^perp = sum Im(g_k - 1)``."""
     out: list[int] = []
     for fi, f in enumerate(w.factors):
-        if f.kind == "vector":
-            comps = [c[fi] for c in comps_list] or [f.identity_comp()]
-            stacked = f._difference_matrix(comps[0])
-            for c in comps[1:]:
-                stacked = stacked.stack(f._difference_matrix(c))
-            x_basis = linalg.kernel_basis(stacked)
-            out.extend(
-                w.global_reflection_id(fi, t)
-                for t in range(f.num_reflections)
-                if f.refl_fixes_space(t, x_basis)
-            )
-        else:
-            # dihedral: the fixed space is the plane, a line, or the origin
-            space: tuple = ("full",)
-            for c in comps_list:
-                a, flip = c[fi]
-                this = ("line", a) if flip else (("full",) if a == 0 else ("point",))
-                if this == ("full",) or this == space:
-                    continue
-                if space == ("full",):
-                    space = this
-                else:
-                    space = ("point",)
-            if space == ("point",):
-                out.extend(
-                    w.global_reflection_id(fi, t) for t in range(f.m)
-                )
-            elif space[0] == "line":
-                out.append(w.global_reflection_id(fi, space[1]))
+        basis = f.span(v for c in comps_list for v in f.moved_vectors(c[fi]))
+        out.extend(
+            w.global_reflection_id(fi, t)
+            for t in range(f.num_reflections)
+            if f.in_span(basis, f.root_vector(t))
+        )
     return out
 
 
@@ -229,30 +210,13 @@ def _root_rank_tracker(w: CoxeterGroup):
     """Incremental rank of the span of chosen reflections' roots.
 
     Returns (state0, insert) where ``insert(state, t)`` gives the new state
-    and whether the rank grew.  Vector factors keep an echelonized basis of
-    root vectors; dihedral factors only count up to two distinct lines.
+    and whether the rank grew; the state holds one span basis per factor.
     """
     def insert(state, t: int):
         fi, local = w.locate_reflection(t)
         f = w.factors[fi]
-        part = state[fi]
-        if f.kind == "vector":
-            v = list(f.root_vector(local))
-            for lead, pivot in part:
-                if v[lead]:
-                    c = v[lead] / pivot[lead]
-                    v = [a - c * b for a, b in zip(v, pivot)]
-            lead = next((i for i, a in enumerate(v) if a), None)
-            if lead is None:
-                return state, False
-            new_part = part + ((lead, tuple(v)),)
-        else:
-            if local in part:
-                return state, False
-            if len(part) >= 2:
-                return state, False
-            new_part = part + (local,)
-        return state[:fi] + (new_part,) + state[fi + 1 :], True
+        part, grew = f.span_insert(state[fi], f.root_vector(local))
+        return state[:fi] + (part,) + state[fi + 1 :], grew
 
     state0 = tuple(() for _ in w.factors)
     return state0, insert

@@ -309,7 +309,10 @@ def _items_min_full(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
                 g, full, budget=budget, full_only=True
             )
             total = sum(o.size for o in orbits)
-            return len(orbits) == 1, {
+            # pass when distinct orbits carry distinct invariants: the class
+            # multiset can differ between orbits (-1 in I2(6) has two)
+            invariants = {o.invariant for o in orbits}
+            return len(invariants) == len(orbits), {
                 "full_length": full,
                 "num_orbits": len(orbits),
                 "num_factorizations": total,

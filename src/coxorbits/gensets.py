@@ -209,11 +209,9 @@ def _min_min_subgroups(w, budget) -> tuple[list[tuple[int, ...]], int]:
 def _reflection_set_rank(w: CoxeterGroup, refl_ids: Iterable[int]) -> int:
     """Dimension of the span of the reflections' root lines."""
     state, insert = _root_rank_tracker(w)
-    rank = 0
     for t in refl_ids:
-        state, grew = insert(state, t)
-        rank += grew
-    return rank
+        state, _ = insert(state, t)
+    return sum(len(basis) for basis in state)
 
 
 # -- dihedral machinery ----------------------------------------------------

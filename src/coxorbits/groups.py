@@ -4,7 +4,8 @@ A group is a product of irreducible factors.  Vector-realized factors store
 their full root system once and represent each element as a permutation of the
 root list, so multiplication is index chasing and never touches coordinates.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
-element of a product holds one component per factor.
+element of a product holds one component per factor.  All fixed-space
+geometry runs on one span routine per factor kind (see ``_Factor``).
 
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
@@ -36,22 +37,58 @@ from .scalars import Scalar
 DEFAULT_MAX_ELEMENTS = 200_000
 
 _ZERO = Scalar.zero()
+_ONE = Scalar.one()
 _TWO = Scalar.from_int(2)
 
 #: One component of an element: a root permutation, or a (rotation, flip) pair.
 Comp = Union[tuple[int, ...], tuple[int, int]]
 
 
-class VectorFactor:
-    """An irreducible factor realized by an explicit root system."""
+def _dot(u: Vector, v: Vector) -> Scalar:
+    """Coordinate product of two vectors, skipping zero terms."""
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), _ZERO)
+
+
+def _minus(v: Vector, c: Scalar, w: Vector) -> Vector:
+    """``v - c*w``, skipping the zero terms and the products by 1."""
+    if not c:
+        return v
+    return tuple(
+        a - (c if b == _ONE else c * b) if b else a
+        for a, b in zip(v, w, strict=True)
+    )
+
+
+class _Factor:
+    """Fixed-space geometry over each kind's span routine: ``()`` is the
+    empty basis, ``span_insert(basis, v)`` gives the new basis and whether it
+    grew, ``in_span(basis, v)`` tests membership, ``moved_vectors(p)`` spans
+    ``Im(g - 1) = Fix(g)^perp`` and ``root_vector(t)`` stands for a root."""
+
+    def span(self, vectors: Iterable) -> tuple:
+        """A basis of the span of ``vectors``."""
+        basis = ()
+        for v in vectors:
+            basis, _ = self.span_insert(basis, v)
+        return basis
+
+    def fixed_codim_comp(self, p: Comp) -> int:
+        """Codimension of the fixed space: the dimension of the moved space."""
+        return len(self.span(self.moved_vectors(p)))
+
+
+class VectorFactor(_Factor):
+    """An irreducible factor realized by an explicit root system.
+
+    Its span basis is reduced echelon: a tuple of ``(lead, row)`` pairs in
+    which each row has 1 at its own lead and 0 at every other row's lead.
+    """
 
     kind = "vector"
 
     def __init__(self, ir: roots.IrreducibleDatum):
-        self.datum = ir
-        simples, form, ambient = roots.simple_root_data(ir)
+        simples, form, _ = roots.simple_root_data(ir)
         self.rank = len(simples)
-        self.ambient = ambient
         self.form = form
         self.simples = tuple(simples)
         self.roots: tuple[Vector, ...] = self._close(simples)
@@ -62,47 +99,41 @@ class VectorFactor:
         self._classify_roots()
         self.num_reflections = len(self.positive_roots)
         self._refl_perms = [None] * self.num_reflections
-        self._matrix_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
-    def bilinear(self, u: Vector, v: Vector) -> Scalar:
-        return sum(
-            (a * b for a, b in zip(u, self.form.apply(v), strict=True)), _ZERO
-        )
-
-    def _reflect(self, alpha: Vector, norm: Scalar, v: Vector) -> Vector:
-        c = (self.bilinear(alpha, v) + self.bilinear(alpha, v)) / norm
-        return vec_sub(v, vec_scale(c, alpha))
+    def _coroot(self, alpha: Vector) -> Vector:
+        """The covector ``2 F alpha / (alpha, F alpha)``: its product with
+        ``v`` is the multiple of ``alpha`` that ``s_alpha`` subtracts."""
+        f_alpha = self.form.apply(alpha)
+        return vec_scale(_TWO / _dot(alpha, f_alpha), f_alpha)
 
     def _close(self, simples: Sequence[Vector]) -> tuple[Vector, ...]:
-        norms = [self.bilinear(a, a) for a in simples]
+        pairs = [(alpha, self._coroot(alpha)) for alpha in simples]
         found: dict[Vector, int] = {v: i for i, v in enumerate(simples)}
         queue = list(simples)
         i = 0
         while i < len(queue):
             v = queue[i]
             i += 1
-            for alpha, norm in zip(simples, norms):
-                w = self._reflect(alpha, norm, v)
+            for alpha, cov in pairs:
+                w = _minus(v, _dot(cov, v), alpha)
                 if w not in found:
                     found[w] = len(queue)
                     queue.append(w)
         return tuple(queue)
 
     def _classify_roots(self) -> None:
-        gram = Matrix.from_rows(
-            [[self.bilinear(a, b) for b in self.simples] for a in self.simples]
+        # rho with (rho, alpha_i) = 1 for each simple root makes (rho, beta)
+        # the height of beta, positive exactly on the positive roots
+        f_simples = Matrix.from_columns([self.form.apply(a) for a in self.simples])
+        gram = Matrix.from_rows(self.simples) * f_simples
+        f_rho = f_simples.apply(linalg.solve_square(gram, (_ONE,) * self.rank))
+        self.positive_roots = tuple(
+            idx for idx, v in enumerate(self.roots) if _dot(f_rho, v).sign() > 0
         )
-        positive = []
-        for idx, v in enumerate(self.roots):
-            rhs = tuple(self.bilinear(a, v) for a in self.simples)
-            coords = linalg.solve_square(gram, rhs)
-            if all(c.sign() >= 0 for c in coords):
-                positive.append(idx)
-        self.positive_roots = tuple(positive)
         refl_of = [0] * len(self.roots)
-        for t, idx in enumerate(positive):
+        for t, idx in enumerate(self.positive_roots):
             refl_of[idx] = t
             refl_of[self.neg_of[idx]] = t
         self.refl_of_root = tuple(refl_of)
@@ -129,10 +160,10 @@ class VectorFactor:
     def refl_comp(self, t: int) -> Comp:
         perm = self._refl_perms[t]
         if perm is None:
-            alpha = self.roots[self.positive_roots[t]]
-            norm = self.bilinear(alpha, alpha)
+            alpha = self.root_vector(t)
+            cov = self._coroot(alpha)
             perm = tuple(
-                self.root_index[self._reflect(alpha, norm, v)] for v in self.roots
+                self.root_index[_minus(v, _dot(cov, v), alpha)] for v in self.roots
             )
             self._refl_perms[t] = perm
         return perm
@@ -145,29 +176,40 @@ class VectorFactor:
     def serialize_comp(self, p: Comp) -> str:
         return ",".join(str(p[i]) for i in self.simple_root_idx)
 
-    def fixed_codim_comp(self, p: Comp) -> int:
-        return linalg.rank(self._difference_matrix(p))
+    # -- fixed-space geometry ----------------------------------------------
 
-    def _difference_matrix(self, p: Comp) -> Matrix:
-        cols = [
-            vec_sub(self.roots[p[i]], self.roots[i]) for i in self.simple_root_idx
-        ]
-        return Matrix.from_columns(cols)
-
-    @cached_property
-    def _root_simple_gram(self) -> list[tuple[Scalar, ...]]:
+    def moved_vectors(self, p: Comp) -> list[Vector]:
+        """The nonzero ``g(alpha_i) - alpha_i`` over the simple roots."""
         return [
-            tuple(self.bilinear(self.roots[idx], a) for a in self.simples)
-            for idx in self.positive_roots
+            vec_sub(self.roots[p[i]], self.roots[i])
+            for i in self.simple_root_idx
+            if p[i] != i
         ]
 
-    def refl_fixes_space(self, t: int, x_basis: Iterable[Vector]) -> bool:
-        """Whether reflection ``t`` fixes every vector of an essential-space
-        basis given in simple-root coordinates."""
-        row = self._root_simple_gram[t]
+    def span_insert(self, basis: tuple, v: Vector) -> tuple[tuple, bool]:
+        for lead, row in basis:
+            v = _minus(v, v[lead], row)
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            return basis, False
+        if v[lead] != _ONE:
+            inv = _ONE / v[lead]
+            v = tuple(
+                _ONE if i == lead else a * inv if a else a for i, a in enumerate(v)
+            )
+        # clear the new lead from the other rows to keep the basis reduced
+        basis = tuple((k, _minus(row, row[lead], v)) for k, row in basis)
+        return basis + ((lead, v),), True
+
+    def in_span(self, basis: tuple, v: Vector) -> bool:
+        # a reduced basis gives v's coefficients as its entries at the leads;
+        # compare the other entries with that combination, stopping early
+        leads = {lead for lead, _ in basis}
+        terms = [(v[lead], row) for lead, row in basis if v[lead]]
         return all(
-            not sum((x * g for x, g in zip(xv, row, strict=True)), _ZERO)
-            for xv in x_basis
+            a == sum((c * row[j] for c, row in terms if row[j]), _ZERO)
+            for j, a in enumerate(v)
+            if j not in leads
         )
 
     @cached_property
@@ -188,18 +230,18 @@ class VectorFactor:
         return self.roots[self.positive_roots[t]]
 
 
-class DihedralFactor:
+class DihedralFactor(_Factor):
     """The dihedral group I2(m), handled without coordinates.
 
     Components are pairs ``(a, f)``: the rotation by ``2*pi*a/m`` when
     ``f == 0``, and the reflection whose line has angle ``pi*a/m`` when
-    ``f == 1``.
+    ``f == 1``.  Lines stand in for roots in the span routine: a basis is a
+    tuple of at most two distinct lines, and two lines span the plane.
     """
 
     kind = "dihedral"
 
     def __init__(self, ir: roots.IrreducibleDatum):
-        self.datum = ir
         assert ir.param is not None
         self.m = ir.param
         self.rank = 2
@@ -227,11 +269,23 @@ class DihedralFactor:
     def serialize_comp(self, p: Comp) -> str:
         return f"{p[0]},{p[1]}"
 
-    def fixed_codim_comp(self, p: Comp) -> int:
+    def moved_vectors(self, p: Comp) -> list[int]:
+        """A flip moves its line, a nontrivial rotation the whole plane."""
         a, f = p
         if f:
-            return 1
-        return 0 if a == 0 else 2
+            return [a]
+        return [] if a == 0 else [0, 1]
+
+    def span_insert(self, basis: tuple, line: int) -> tuple[tuple, bool]:
+        if line in basis or len(basis) == 2:
+            return basis, False
+        return basis + (line,), True
+
+    def in_span(self, basis: tuple, line: int) -> bool:
+        return len(basis) == 2 or line in basis
+
+    def root_vector(self, t: int) -> int:
+        return t
 
 
 Factor = Union[VectorFactor, DihedralFactor]

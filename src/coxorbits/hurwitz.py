@@ -137,7 +137,6 @@ def _walk_orbit(
     start: tuple[int, ...],
     budget: Budget | None,
     base_length: int | None,
-    check_invariant: bool = False,
 ) -> tuple[set[tuple[int, ...]], tuple[int, ...] | None]:
     """Breadth-first orbit of one factorization under left moves.
 
@@ -152,7 +151,6 @@ def _walk_orbit(
     def in_shape(t: tuple[int, ...]) -> bool:
         return base_length is not None and _doubled_pairs_lead(t, base_length)
 
-    ref_invariant = orbit_invariant(w, start) if check_invariant else None
     seen = {start}
     if in_shape(start):
         shape_witness = start
@@ -170,10 +168,6 @@ def _walk_orbit(
                     new.append(nt)
                     if shape_witness is None and in_shape(nt):
                         shape_witness = nt
-                    if check_invariant and orbit_invariant(w, nt) != ref_invariant:
-                        raise BadFactorization(
-                            "orbit invariant not constant along orbit"
-                        )
         frontier = new
     return seen, shape_witness
 
@@ -181,15 +175,12 @@ def _walk_orbit(
 def hurwitz_orbit(
     fact: Factorization,
     budget: Budget | None = None,
-    check_invariant: bool = False,
 ) -> HurwitzOrbit:
     """The full orbit through ``fact``, with representative, size, invariant
     and a left-normal-shape witness when one exists."""
     w = fact.group
     base = reflection_length(fact.product())
-    seen, witness = _walk_orbit(
-        w, fact.factors, budget, base, check_invariant=check_invariant
-    )
+    seen, witness = _walk_orbit(w, fact.factors, budget, base)
     return HurwitzOrbit(
         representative=Factorization(w, min(seen)),
         size=len(seen),

@@ -6,10 +6,12 @@ fraction-free (Bareiss-style) elimination, which keeps intermediate entries
 small; kernels come from an exact reduced row echelon form.  There are no
 tolerances: a pivot is nonzero or it is not.
 
-The two geometric helpers at the bottom are the workhorses of the rest of the
-package: ``fixed_space_codim`` turns a matrix into a reflection length, and
-``kernel_contains`` decides containment of fixed spaces, the relation behind
-absolute order.
+The package itself uses this module only at the ambient-matrix boundary
+(``GroupElement.matrix``, a factor's basis inverse) and once per root system
+to find the height covector; its fixed-space geometry runs on the factors'
+span routines instead.  The two geometric helpers at the bottom,
+``fixed_space_codim`` and ``kernel_contains``, serve the tests as independent
+oracles for reflection length and containment of fixed spaces.
 """
 from __future__ import annotations
 
@@ -73,9 +75,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
-    def transpose(self) -> Matrix:
-        return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
-
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product ``M v``."""
         return tuple(
@@ -102,12 +101,6 @@ class Matrix:
                 for r, s in zip(self.rows, other.rows, strict=True)
             )
         )
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
-
-    def stack(self, other: Matrix) -> Matrix:
-        return Matrix(self.rows + other.rows)
 
 
 def rank(m: Matrix) -> int:

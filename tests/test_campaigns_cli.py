@@ -121,9 +121,14 @@ def test_timeout_checked_after_the_item(monkeypatch):
 # -- campaign content ------------------------------------------------------
 
 
-def test_carter_campaign_b3():
-    report = run("B3", "carter")
-    assert (report.checked, report.failed) == (48, 0)
+@pytest.mark.parametrize(
+    "label, order",
+    [("B3", 48), ("A1xI2(5)", 20), ("A2xA1", 12)],
+    ids=["B3", "A1xI2(5)", "A2xA1"],
+)
+def test_carter_campaign_b3(label, order):
+    report = run(label, "carter")
+    assert (report.checked, report.failed) == (order, 0)
     for record in records_of(report)[2:-1]:
         assert record["length"] == record["bfs_length"]
 
@@ -166,6 +171,18 @@ def test_min_full_campaign_i2_5():
     assert (report.checked, report.failed) == (10, 0)
     for record in records_of(report)[2:-1]:
         assert record["num_orbits"] == 1
+
+
+def test_min_full_campaign_accepts_orbits_split_by_class():
+    # -1 in I2(6): the abelianization Z2 x Z2 gives each reflection class an
+    # odd count, so the 192 length-4 full factorizations split by class
+    # multiset, (1,3) against (3,1), into two orbits with distinct invariants
+    report = run("I2(6)", "min-full-transitivity")
+    record = records_of(report)[2 + 6]
+    assert record["element"] == "3,0"
+    assert record["status"] == "pass"
+    assert (record["num_orbits"], record["num_factorizations"]) == (2, 192)
+    assert report.failed == 0
 
 
 def test_lr_campaign_b2():

@@ -17,7 +17,7 @@ from coxorbits.errors import (
     UnsupportedType,
 )
 from coxorbits.groups import CoxeterGroup, VectorFactor
-from coxorbits.linalg import Matrix, fixed_space_codim
+from coxorbits.linalg import Matrix, fixed_space_codim, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
 
 
@@ -95,8 +95,6 @@ def test_root_counts_match_census(label, num_roots):
 def test_simple_roots_independent_and_seeded_first():
     for label in ["A4", "B3", "D4", "F4", "H3", "E6"]:
         f = VectorFactor(parse_datum(label).factors[0])
-        from coxorbits.linalg import rank
-
         assert rank(Matrix.from_columns(list(f.simples))) == f.rank
         assert f.roots[: f.rank] == f.simples
 
@@ -120,6 +118,24 @@ def test_reflection_fixes_its_root_line_only_in_h3():
         idx = f.positive_roots[t]
         assert p[idx] == f.neg_of[idx]
         assert f.fixed_codim_comp(p) == 1
+
+
+@pytest.mark.parametrize("label", ["H3", "F4", "E6"])
+def test_span_routine_matches_bareiss_rank(label):
+    f = VectorFactor(parse_datum(label).factors[0])
+    rng = random.Random(f"span-{label}")
+    for _ in range(8):
+        chosen = rng.sample(range(f.num_reflections), rng.randint(1, f.rank + 1))
+        vectors = [f.root_vector(t) for t in chosen]
+        basis, grown = (), 0
+        for v in vectors:
+            basis, grew = f.span_insert(basis, v)
+            grown += grew
+        assert grown == len(basis) == rank(Matrix.from_columns(vectors))
+        for t in range(f.num_reflections):
+            v = f.root_vector(t)
+            same = rank(Matrix.from_columns(vectors + [v])) == grown
+            assert f.in_span(basis, v) == same
 
 
 # -- group arithmetic ------------------------------------------------------
