@@ -35,7 +35,7 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
     runs: list[tuple[str, str, dict]] = []
     for label in ["A3", "B3", "H3", "D4"] + DIHEDRAL_SMALL:
         runs.append((label, "carter", {}))
-    for label in ["A3", "B2", "B3", "D4"] + DIHEDRAL_SMALL:
+    for label in ["A3", "B2", "B3", "H3", "D4"] + DIHEDRAL_SMALL:
         runs.append((label, "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
         runs.append((label, "conjecture", {"offsets": rank2_offsets(label)}))

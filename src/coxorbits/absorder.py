@@ -9,6 +9,13 @@ the factor kind: lengths are moved-space dimensions, a reflection fixes a
 common fixed space when its root lies in the sum of the moved spaces, and
 root ranks are counted by inserting roots into the same basis.
 
+Whole-group work reads lengths from ``length_table`` (one geometric length
+per element, cached per group) through element ids.  "Below some
+quasi-Coxeter element" is a cached down-set: the elements reached from the
+quasi-Coxeter elements by left reflection multiplications that each drop
+the length by one.  ``absolute_leq`` keeps the geometric definition, which
+needs no element table.
+
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
 hyperplane contains that fixed space.  An element is quasi-Coxeter when some
@@ -126,16 +133,11 @@ class Classification:
 
     element: GroupElement
     length: int
-    closure: Subgroup
     closure_is_whole: bool
     is_parabolic_quasi_coxeter: bool
     is_quasi_coxeter: bool
     witness: tuple[int, ...] | None
     all_factorizations_agree: bool | None
-
-    @property
-    def closure_order(self) -> int:
-        return self.closure.order
 
 
 def classify_element(
@@ -149,9 +151,10 @@ def classify_element(
     agreed (they provably do, which makes this a useful cross-check).
     """
     w = g.group
-    ids = _fixing_reflections(w, [g.comps])
-    below = frozenset(ids)
-    target = w.closure([w.reflection(t) for t in ids])
+    below = frozenset(_fixing_reflections(w, [g.comps]))
+    # the parabolic closure's reflections are exactly ``below``, and T
+    # generates W, so the closure is W exactly when ``below`` is all of T
+    whole = len(below) == w.num_reflections
     witness = None
     outcomes: set[bool] = set()
     for fact in reduced_factorizations(g, budget):
@@ -166,11 +169,10 @@ def classify_element(
     is_pqc = witness is not None
     return Classification(
         element=g,
-        length=reflection_length(g),
-        closure=target,
-        closure_is_whole=target.is_whole_group,
+        length=length_table(w)[w.element_ids()[g.comps]],
+        closure_is_whole=whole,
         is_parabolic_quasi_coxeter=is_pqc,
-        is_quasi_coxeter=is_pqc and target.is_whole_group,
+        is_quasi_coxeter=is_pqc and whole,
         witness=witness,
         all_factorizations_agree=(len(outcomes) <= 1) if strict else None,
     )
@@ -194,16 +196,43 @@ def quasi_coxeter_elements(w: CoxeterGroup) -> tuple[GroupElement, ...]:
         n = w.rank
         found = [
             g
-            for g in w.elements()
-            if reflection_length(g) == n and is_quasi_coxeter(g)
+            for g, length in zip(w.elements(), length_table(w))
+            if length == n and is_quasi_coxeter(g)
         ]
         w._cache["qc_elements"] = tuple(found)
     return w._cache["qc_elements"]
 
 
+def _below_quasi_coxeter_ids(w: CoxeterGroup) -> frozenset[int]:
+    """Ids of the elements below some quasi-Coxeter element (cached).
+
+    A search from the quasi-Coxeter elements down the steps ``q -> t q``
+    with ``l(t q) = l(q) - 1``.  It reaches exactly the ``x`` with
+    ``q = y x`` and ``l(y) + l(x) = l(q)``; since ``x^-1 q`` is a conjugate
+    of ``y`` and length is a class function, those are the ``x <= q`` in
+    absolute order.
+    """
+    if "below_qc" not in w._cache:
+        lengths = length_table(w)
+        mult = w.refl_mult_table
+        ids = w.element_ids()
+        seen = {ids[c.comps] for c in quasi_coxeter_elements(w)}
+        stack = list(seen)
+        while stack:
+            q = stack.pop()
+            for row in mult:
+                x = row[q]
+                if lengths[x] == lengths[q] - 1 and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        w._cache["below_qc"] = frozenset(seen)
+    return w._cache["below_qc"]
+
+
 def below_some_quasi_coxeter(g: GroupElement) -> bool:
     """Whether ``g`` is below some quasi-Coxeter element in absolute order."""
-    return any(absolute_leq(g, c) for c in quasi_coxeter_elements(g.group))
+    w = g.group
+    return w.element_ids()[g.comps] in _below_quasi_coxeter_ids(w)
 
 
 def _root_rank_tracker(w: CoxeterGroup):
@@ -245,6 +274,9 @@ def full_reflection_length(
     base = lengths[start]
     state0, insert = _root_rank_tracker(w)
 
+    # the span of a set of roots does not depend on insertion order, so the
+    # (basis, rank) reached by one order serves every order of the same set
+    rank_memo: dict[frozenset[int], tuple] = {}
     closure_memo: dict[frozenset[int], bool] = {}
 
     def generates(chosen: frozenset[int]) -> bool:
@@ -264,11 +296,14 @@ def full_reflection_length(
             need = lengths[nq]
             if need > remaining - 1 or (remaining - 1 - need) % 2:
                 continue
-            new_state, grew = insert(rank_state, t)
-            new_rank = rank_now + grew
+            key = chosen | {t}
+            if key not in rank_memo:
+                new_state, grew = insert(rank_state, t)
+                rank_memo[key] = (new_state, rank_now + grew)
+            new_state, new_rank = rank_memo[key]
             if new_rank + (remaining - 1) < n:
                 continue
-            if search(nq, remaining - 1, chosen | {t}, new_state, new_rank):
+            if search(nq, remaining - 1, key, new_state, new_rank):
                 return True
         return False
 

@@ -274,8 +274,10 @@ def _items_conjecture(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
     _warm_tables(w)
     items = []
     index = 0
+    lengths = absorder.length_table(w)
+    ids = w.element_ids()
     for g in _pqc_elements(w):
-        base = absorder.reflection_length(g)
+        base = lengths[ids[g.comps]]
         for offset in cfg.offsets:
             length = base + offset
 
@@ -327,8 +329,10 @@ def _items_lr(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
     _warm_tables(w)
     items = []
     index = 0
+    lengths = absorder.length_table(w)
+    ids = w.element_ids()
     for g in _pqc_elements(w):
-        base = absorder.reflection_length(g)
+        base = lengths[ids[g.comps]]
         for offset in cfg.offsets:
             length = base + offset
 

@@ -269,11 +269,11 @@ def partition_into_orbits(
     factors generate the whole group; moves never leave that set.
     """
     w = g.group
-    base = reflection_length(g)
     if full_only:
         facts = enumerate_full_factorizations(g, length, budget)
     else:
         facts = enumerate_factorizations(g, length, budget)
+    base = length_table(w)[w.element_ids()[g.comps]]
     remaining = set(facts)
     orbits = []
     for seed in facts:  # lex order; orbits appear by minimal member

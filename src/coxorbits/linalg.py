@@ -9,9 +9,8 @@ tolerances: a pivot is nonzero or it is not.
 The package itself uses this module only at the ambient-matrix boundary
 (``GroupElement.matrix``, a factor's basis inverse) and once per root system
 to find the height covector; its fixed-space geometry runs on the factors'
-span routines instead.  The two geometric helpers at the bottom,
-``fixed_space_codim`` and ``kernel_contains``, serve the tests as independent
-oracles for reflection length and containment of fixed spaces.
+span routines instead.  The tests build their fixed-space oracles
+(codimension, containment) on the rank and kernel routines here.
 """
 from __future__ import annotations
 
@@ -198,23 +197,3 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     return Matrix(tuple(tuple(rows[i][n:]) for i in range(n)))
 
-
-def fixed_space_codim(m: Matrix) -> int:
-    """Codimension of the fixed space of a square matrix: ``rank(M - I)``."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("fixed_space_codim needs a square matrix")
-    return rank(m - Matrix.identity(m.n_rows))
-
-
-def kernel_contains(m: Matrix, n: Matrix) -> bool:
-    """Whether ``Fix(M)`` contains ``Fix(N)`` for square matrices M, N.
-
-    Decided exactly: every kernel basis vector of ``N - I`` must be killed by
-    ``M - I``.
-    """
-    if m.n_rows != m.n_cols or n.n_rows != n.n_cols or m.n_rows != n.n_rows:
-        raise ValueError("kernel_contains needs square matrices of equal size")
-    ident = Matrix.identity(m.n_rows)
-    m_diff = m - ident
-    n_diff = n - ident
-    return all(vec_is_zero(m_diff.apply(v)) for v in kernel_basis(n_diff))

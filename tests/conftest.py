@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from coxorbits.groups import build_group
+from coxorbits.linalg import Matrix, kernel_basis, rank, vec_is_zero
 
 
 @lru_cache(maxsize=None)
@@ -56,3 +57,22 @@ def brute_reduced_factorizations(g, k: int) -> list[tuple[int, ...]]:
         if prod == g:
             out.append(tup)
     return out
+
+
+def fixed_space_codim(m: Matrix) -> int:
+    """Oracle for reflection length: ``rank(M - I)`` of the ambient matrix,
+    by Bareiss elimination rather than the factors' span routine."""
+    if m.n_rows != m.n_cols:
+        raise ValueError("fixed_space_codim needs a square matrix")
+    return rank(m - Matrix.identity(m.n_rows))
+
+
+def kernel_contains(m: Matrix, n: Matrix) -> bool:
+    """Oracle for containment of fixed spaces: whether ``Fix(M)`` contains
+    ``Fix(N)``, i.e. ``M - I`` kills every kernel basis vector of ``N - I``."""
+    if m.n_rows != m.n_cols or n.n_rows != n.n_cols or m.n_rows != n.n_rows:
+        raise ValueError("kernel_contains needs square matrices of equal size")
+    ident = Matrix.identity(m.n_rows)
+    m_diff = m - ident
+    n_diff = n - ident
+    return all(vec_is_zero(m_diff.apply(v)) for v in kernel_basis(n_diff))

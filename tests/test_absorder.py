@@ -3,7 +3,11 @@ quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
 * reduced factorizations: pruned search vs brute-force product filtering,
-* parabolic closure membership vs fixed-space containment of matrices.
+* parabolic closure membership vs fixed-space containment of matrices,
+* below-a-quasi-Coxeter-element and whole parabolic closure vs their
+  definitions (absolute order, element closures),
+* full reflection length vs the shortest factorization whose element
+  closure is the whole group.
 """
 import itertools
 
@@ -11,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_length_table, brute_reduced_factorizations, cached_group
+from conftest import (
+    bfs_length_table,
+    brute_reduced_factorizations,
+    cached_group,
+    kernel_contains,
+)
 from coxorbits import absorder
 from coxorbits.absorder import (
     absolute_leq,
@@ -27,7 +36,7 @@ from coxorbits.absorder import (
 )
 from coxorbits.budget import Budget
 from coxorbits.errors import CapExceeded, GroupMismatch
-from coxorbits.linalg import kernel_contains
+from coxorbits.hurwitz import enumerate_factorizations
 
 
 def coxeter_element(w):
@@ -335,6 +344,28 @@ def test_below_some_quasi_coxeter_dihedral():
     assert len(bad) == 3
 
 
+ORACLE_GROUPS = ["A3", "B3", "H3", "D4", "I2(5)", "I2(6)", "A2xI2(5)", "B2xA1"]
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_below_some_quasi_coxeter_matches_absolute_order(label):
+    """The cached down-set agrees with the definition: some quasi-Coxeter
+    element lies above ``g`` in the geometric absolute order."""
+    w = cached_group(label)
+    qc = quasi_coxeter_elements(w)
+    for g in w.elements():
+        expected = any(absolute_leq(g, c) for c in qc)
+        assert absorder.below_some_quasi_coxeter(g) == expected, g
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_closure_is_whole_matches_element_closure(label):
+    w = cached_group(label)
+    for g in w.elements():
+        expected = parabolic_closure(g).is_whole_group
+        assert classify_element(g).closure_is_whole == expected, g
+
+
 # -- full reflection length ------------------------------------------------
 
 
@@ -391,6 +422,33 @@ def test_full_length_matches_pqc_formula():
             fl = full_reflection_length(g)
             pqc = is_parabolic_quasi_coxeter(g)
             assert (fl == 2 * n - reflection_length(g)) == pqc
+
+
+def brute_full_length(g, closure_orders: dict) -> int:
+    """Oracle: the least length ``l, l+2, ...`` at which some factorization
+    of ``g`` has an element closure of the group's order."""
+    w = g.group
+    length = reflection_length(g)
+    while True:
+        for fact in enumerate_factorizations(g, length):
+            key = frozenset(fact)
+            if key not in closure_orders:
+                refl = [w.reflection(t) for t in key]
+                closure_orders[key] = w.closure(refl).order
+            if closure_orders[key] == w.census_order:
+                return length
+        length += 2
+
+
+@pytest.mark.parametrize(
+    "label, only_length", [("B3", None), ("A2xI2(5)", None), ("H3", 3)]
+)
+def test_full_length_matches_brute_force(label, only_length):
+    w = cached_group(label)
+    orders: dict = {}
+    for g in w.elements():
+        if only_length is None or reflection_length(g) == only_length:
+            assert full_reflection_length(g) == brute_full_length(g, orders), g
 
 
 def test_full_length_budget():

@@ -107,7 +107,7 @@ def test_criterion_02_carter_exhaustive():
 
 def test_criterion_03_pqc_characterization():
     t0 = time.monotonic()
-    labels = ["A3", "B2", "B3", "D4"] + DIHEDRAL_SMALL
+    labels = ["A3", "B2", "B3", "H3", "D4"] + DIHEDRAL_SMALL
     bad = []
     total = 0
     for label in labels:

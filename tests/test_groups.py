@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_space_codim
 from coxorbits import build_group
 from coxorbits.errors import (
     CapExceeded,
@@ -17,7 +18,7 @@ from coxorbits.errors import (
     UnsupportedType,
 )
 from coxorbits.groups import CoxeterGroup, VectorFactor
-from coxorbits.linalg import Matrix, fixed_space_codim, rank
+from coxorbits.linalg import Matrix, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_space_codim, kernel_contains
 from coxorbits import linalg
-from coxorbits.linalg import Matrix, kernel_basis, kernel_contains, rank
+from coxorbits.linalg import Matrix, kernel_basis, rank
 from coxorbits.scalars import HALF, PHI, Scalar
 
 
@@ -74,7 +75,7 @@ def test_rank_examples():
     assert rank(ident) == 3
     zero = Matrix.from_rows([[0, 0, 0]] * 3)
     assert rank(zero) == 0
-    assert linalg.fixed_space_codim(ident) == 0
+    assert fixed_space_codim(ident) == 0
     # entries with irrational parts still eliminate exactly
     m = Matrix.from_rows([[PHI, Scalar.one()], [PHI * PHI, PHI]])
     assert rank(m) == 1
@@ -83,7 +84,7 @@ def test_rank_examples():
 def test_swap_reflection_fixed_space():
     # the matrix swapping two coordinates of R^3 is a reflection: codim 1
     swap = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert linalg.fixed_space_codim(swap) == 1
+    assert fixed_space_codim(swap) == 1
     ident = Matrix.identity(3)
     assert kernel_contains(swap, ident) is False
     assert kernel_contains(ident, swap) is True
@@ -95,7 +96,7 @@ def test_kernel_contains_disjoint_reflections():
     swap12 = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert not kernel_contains(swap01, swap12)
     both = swap01 * swap12  # a 3-cycle: fixed space is the diagonal line
-    assert linalg.fixed_space_codim(both) == 2
+    assert fixed_space_codim(both) == 2
     assert kernel_contains(swap01, both)
     assert kernel_contains(swap12, both)
 
@@ -117,7 +118,7 @@ def test_solve_square_and_inverse():
 def test_non_square_rejected():
     wide = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        linalg.fixed_space_codim(wide)
+        fixed_space_codim(wide)
     with pytest.raises(ValueError):
         kernel_contains(wide, wide)
 
