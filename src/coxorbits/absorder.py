@@ -5,9 +5,8 @@ space, never by graph search; the Cayley-graph distance is kept in a separate
 module as an independent check.  Absolute order is the partial order
 ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  All the geometry here runs on the
 factors' span routine (see :mod:`~coxorbits.groups`), without branching on
-the factor kind: lengths are moved-space dimensions, a reflection fixes a
-common fixed space when its root lies in the sum of the moved spaces, and
-root ranks are counted by inserting roots into the same basis.
+the factor kind: lengths are moved-space dimensions, and a reflection fixes
+a common fixed space when its root lies in the sum of the moved spaces.
 
 Whole-group work reads lengths from ``length_table`` (one geometric length
 per element, cached per group) through element ids.  "Below some
@@ -15,6 +14,11 @@ quasi-Coxeter element" is a cached down-set: the elements reached from the
 quasi-Coxeter elements by left reflection multiplications that each drop
 the length by one.  ``absolute_leq`` keeps the geometric definition, which
 needs no element table.
+
+Every factorization search is one lazy walk over ``refl_mult_table``
+(:func:`factorizations`): reduced factorizations, factorizations of a fixed
+length, and the full reflection length, which is the first length at which
+some factorization's reflection set generates W.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -28,7 +32,7 @@ same fixed space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .budget import Budget
 from .errors import GroupMismatch
@@ -97,34 +101,72 @@ def is_parabolic(sub: Subgroup) -> bool:
     return stab == sub
 
 
+def factorizations(
+    g: GroupElement, length: int | None = None, budget: Budget | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The reflection factorizations of ``g`` with ``length`` factors
+    (default: its reflection length), lazily, in lexicographic order of the
+    global reflection indices.
+
+    A step ``q -> t q`` is kept exactly when ``l(t q) < remaining``: a
+    reflection changes reflection length by one, so the quotient's length
+    keeps the parity of the remaining slots, and a completion exists exactly
+    when it fits.  With one slot left the quotient is a reflection, which is
+    the last factor.  Nothing is yielded when ``length < l(g)`` or
+    ``length - l(g)`` is odd.
+    """
+    w = g.group
+    lengths = length_table(w)
+    mult = w.refl_mult_table
+    n_refl = w.num_reflections
+    ids = w.element_ids()
+    start = ids[g.comps]
+    n = lengths[start] if length is None else length
+    if n < lengths[start] or (n - lengths[start]) % 2:
+        return
+    if n == 0:  # only the identity has a factorization of length 0
+        yield ()
+        return
+    identity = ids[w.identity.comps]
+    reflection_of = {mult[t][identity]: t for t in range(n_refl)}
+    prefix: list[int] = []
+
+    def walk(q: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        if budget is not None:
+            budget.charge("max_tuples", n_refl)
+        if remaining == 1:
+            yield (*prefix, reflection_of[q])
+            return
+        for t in range(n_refl):
+            nq = mult[t][q]
+            if lengths[nq] < remaining:
+                prefix.append(t)
+                yield from walk(nq, remaining - 1)
+                prefix.pop()
+
+    yield from walk(start, n)
+
+
 def reduced_factorizations(
     g: GroupElement, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All reduced reflection factorizations of ``g``, in lexicographic order
     of the global reflection indices."""
-    w = g.group
-    lengths = length_table(w)
-    mult = w.refl_mult_table
-    ids = w.element_ids()
-    n_refl = w.num_reflections
+    return factorizations(g, None, budget)
 
-    start = ids[g.comps]
-    prefix: list[int] = []
 
-    def walk(q: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if budget is not None:
-            budget.charge("max_tuples", n_refl)
-        for t in range(n_refl):
-            nq = mult[t][q]
-            if lengths[nq] == remaining - 1:
-                prefix.append(t)
-                yield from walk(nq, remaining - 1)
-                prefix.pop()
+def generation_memo(w: CoxeterGroup) -> Callable[[tuple[int, ...]], bool]:
+    """``generates_whole`` on the reflection set of a factorization,
+    memoized by that set for the life of the returned test."""
+    memo: dict[frozenset[int], bool] = {}
 
-    yield from walk(start, lengths[start])
+    def whole(fact: tuple[int, ...]) -> bool:
+        key = frozenset(fact)
+        if key not in memo:
+            memo[key] = w.generates_whole(key)
+        return memo[key]
+
+    return whole
 
 
 @dataclass(frozen=True)
@@ -235,82 +277,22 @@ def below_some_quasi_coxeter(g: GroupElement) -> bool:
     return w.element_ids()[g.comps] in _below_quasi_coxeter_ids(w)
 
 
-def _root_rank_tracker(w: CoxeterGroup):
-    """Incremental rank of the span of chosen reflections' roots.
-
-    Returns (state0, insert) where ``insert(state, t)`` gives the new state
-    and whether the rank grew; the state holds one span basis per factor.
-    """
-    def insert(state, t: int):
-        fi, local = w.locate_reflection(t)
-        f = w.factors[fi]
-        part, grew = f.span_insert(state[fi], f.root_vector(local))
-        return state[:fi] + (part,) + state[fi + 1 :], grew
-
-    state0 = tuple(() for _ in w.factors)
-    return state0, insert
-
-
 def full_reflection_length(
     g: GroupElement, budget: Budget | None = None
 ) -> int:
     """Length of the shortest reflection factorization of ``g`` whose factors
     generate the whole group.
 
-    Searches lengths ``l(g), l(g)+2, ...`` (parity is forced) by depth-first
-    search.  Pruning: the remaining quotient must still factor into the
-    remaining slots, and the roots chosen so far plus one per remaining slot
-    must be able to span.  A branch succeeds as soon as its chosen
-    reflections already generate the group, because the quotient-length
-    check guarantees the remaining slots can be filled.
+    Tries the lengths ``l(g), l(g)+2, ...`` (parity is forced) in turn and
+    stops at the first whose factorizations include one generating W; a
+    reduced factorization extended by pairs of simple reflections shows
+    that ``l(g) + 2n`` always suffices.  Generation is decided on the
+    reflection set, so no linear algebra runs here.
     """
     w = g.group
-    n = w.rank
-    lengths = length_table(w)
-    mult = w.refl_mult_table
-    ids = w.element_ids()
-    n_refl = w.num_reflections
-    start = ids[g.comps]
-    base = lengths[start]
-    state0, insert = _root_rank_tracker(w)
-
-    # the span of a set of roots does not depend on insertion order, so the
-    # (basis, rank) reached by one order serves every order of the same set
-    rank_memo: dict[frozenset[int], tuple] = {}
-    closure_memo: dict[frozenset[int], bool] = {}
-
-    def generates(chosen: frozenset[int]) -> bool:
-        if chosen not in closure_memo:
-            closure_memo[chosen] = w.generates_whole(chosen)
-        return closure_memo[chosen]
-
-    def search(q: int, remaining: int, chosen: frozenset[int], rank_state, rank_now: int) -> bool:
-        if rank_now == n and generates(chosen):
-            return True
-        if remaining == 0:
-            return False
-        if budget is not None:
-            budget.charge("max_tuples", n_refl)
-        for t in range(n_refl):
-            nq = mult[t][q]
-            need = lengths[nq]
-            if need > remaining - 1 or (remaining - 1 - need) % 2:
-                continue
-            key = chosen | {t}
-            if key not in rank_memo:
-                new_state, grew = insert(rank_state, t)
-                rank_memo[key] = (new_state, rank_now + grew)
-            new_state, new_rank = rank_memo[key]
-            if new_rank + (remaining - 1) < n:
-                continue
-            if search(nq, remaining - 1, key, new_state, new_rank):
-                return True
-        return False
-
-    target = base
-    while True:
-        if search(start, target, frozenset(), state0, 0):
-            return target
-        target += 2
-        # a reduced factorization extended by generator pairs always works
-        assert target <= base + 2 * n, "no full factorization found in bound"
+    base = length_table(w)[w.element_ids()[g.comps]]
+    whole = generation_memo(w)
+    for length in range(base, base + 2 * w.rank + 1, 2):
+        if any(whole(f) for f in factorizations(g, length, budget)):
+            return length
+    raise AssertionError("no full factorization found in bound")

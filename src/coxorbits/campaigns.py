@@ -13,13 +13,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from math import gcd
 from typing import Callable
 
 from . import absorder, gensets, hurwitz
 from .budget import Budget
 from .errors import CapExceeded, TypeMismatch
-from .groups import CoxeterGroup, DihedralFactor, build_group
+from .groups import CoxeterGroup, DihedralFactor, GroupElement, build_group
 
 CAMPAIGN_NAMES = (
     "carter",
@@ -61,7 +62,12 @@ class CampaignConfig:
                 raise ValueError(f"{cap} must be positive, got {value}")
 
     def item_budget(self) -> Budget | None:
-        """A fresh budget per item, or None when every cap is unlimited."""
+        """A fresh budget per item, or None when every cap is unlimited.
+
+        ``max_tuples`` also sets ``max_states``: one number caps both the
+        enumerated tuples and the orbit-walk states, each counted on its
+        own.
+        """
         caps = (self.max_tuples, self.max_mem_mb, self.timeout_s)
         if all(x is None for x in caps):
             return None
@@ -270,33 +276,36 @@ def _orbit_record(length: int, orbit: hurwitz.HurwitzOrbit) -> dict:
     }
 
 
-def _items_conjecture(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
+def _items_per_pqc_length(
+    w: CoxeterGroup,
+    cfg: CampaignConfig,
+    check: Callable[[GroupElement, int, Budget | None], tuple[bool, dict]],
+) -> list[Item]:
+    """One item per (parabolic quasi-Coxeter element, offset), in canonical
+    element order, run as ``check(g, l(g) + offset, budget)``."""
     _warm_tables(w)
-    items = []
-    index = 0
     lengths = absorder.length_table(w)
     ids = w.element_ids()
+    items = []
     for g in _pqc_elements(w):
         base = lengths[ids[g.comps]]
         for offset in cfg.offsets:
             length = base + offset
-
-            def work(budget, g=g, length=length):
-                report = hurwitz.verify_conjecture(g, length, budget=budget)
-                return report.bijection, {
-                    "num_factorizations": report.num_factorizations,
-                    "num_orbits": len(report.orbits),
-                    "orbits": [_orbit_record(length, o) for o in report.orbits],
-                }
-
-            items.append(
-                (
-                    {"item": index, "element": g.serialize(), "length": length},
-                    work,
-                )
-            )
-            index += 1
+            key = {"item": len(items), "element": g.serialize(), "length": length}
+            items.append((key, partial(check, g, length)))
     return items
+
+
+def _items_conjecture(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
+    def work(g, length, budget):
+        report = hurwitz.verify_conjecture(g, length, budget=budget)
+        return report.bijection, {
+            "num_factorizations": report.num_factorizations,
+            "num_orbits": len(report.orbits),
+            "orbits": [_orbit_record(length, o) for o in report.orbits],
+        }
+
+    return _items_per_pqc_length(w, cfg, work)
 
 
 def _items_min_full(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
@@ -326,36 +335,17 @@ def _items_min_full(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
 
 
 def _items_lr(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
-    _warm_tables(w)
-    items = []
-    index = 0
-    lengths = absorder.length_table(w)
-    ids = w.element_ids()
-    for g in _pqc_elements(w):
-        base = lengths[ids[g.comps]]
-        for offset in cfg.offsets:
-            length = base + offset
+    def work(g, length, budget):
+        orbits = hurwitz.partition_into_orbits(g, length, budget=budget)
+        with_witness = sum(1 for o in orbits if o.lr_witness is not None)
+        total = sum(o.size for o in orbits)
+        return with_witness == len(orbits), {
+            "num_factorizations": total,
+            "num_orbits": len(orbits),
+            "orbits_with_witness": with_witness,
+        }
 
-            def work(budget, g=g, length=length):
-                orbits = hurwitz.partition_into_orbits(g, length, budget=budget)
-                with_witness = sum(
-                    1 for o in orbits if o.lr_witness is not None
-                )
-                total = sum(o.size for o in orbits)
-                return with_witness == len(orbits), {
-                    "num_factorizations": total,
-                    "num_orbits": len(orbits),
-                    "orbits_with_witness": with_witness,
-                }
-
-            items.append(
-                (
-                    {"item": index, "element": g.serialize(), "length": length},
-                    work,
-                )
-            )
-            index += 1
-    return items
+    return _items_per_pqc_length(w, cfg, work)
 
 
 def _prime_powers(m: int) -> list[int]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .absorder import _root_rank_tracker
 from .budget import Budget
 from .errors import (
     BadFactorization,
@@ -208,10 +207,11 @@ def _min_min_subgroups(w, budget) -> tuple[list[tuple[int, ...]], int]:
 
 def _reflection_set_rank(w: CoxeterGroup, refl_ids: Iterable[int]) -> int:
     """Dimension of the span of the reflections' root lines."""
-    state, insert = _root_rank_tracker(w)
-    for t in refl_ids:
-        state, _ = insert(state, t)
-    return sum(len(basis) for basis in state)
+    located = [w.locate_reflection(t) for t in refl_ids]
+    return sum(
+        len(f.span(f.root_vector(local) for fi, local in located if fi == i))
+        for i, f in enumerate(w.factors)
+    )
 
 
 # -- dihedral machinery ----------------------------------------------------

@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absorder import full_reflection_length, length_table, reflection_length
+from .absorder import (
+    factorizations,
+    full_reflection_length,
+    generation_memo,
+    is_parabolic_quasi_coxeter,
+    length_table,
+    reflection_length,
+)
 from .budget import Budget
 from .errors import BadFactorization, IndexOutOfRange, ShapeNotFound
 from .groups import CoxeterGroup, GroupElement
@@ -195,43 +202,13 @@ def enumerate_factorizations(
     budget: Budget | None = None,
 ) -> list[tuple[int, ...]]:
     """All reflection factorizations of ``g`` with the given number of
-    factors (default: its reflection length), in lexicographic order.
-
-    The search prunes exactly: a prefix survives iff the remaining quotient's
-    length fits the remaining slots with matching parity, which is also the
-    condition for a completion to exist.
+    factors (default: its reflection length), in lexicographic order; empty
+    when no factorization of that length exists.  A negative length raises
+    :class:`BadFactorization`.
     """
-    w = g.group
-    lengths = length_table(w)
-    mult = w.refl_mult_table
-    ids = w.element_ids()
-    n_refl = w.num_reflections
-    start = ids[g.comps]
-    base = lengths[start]
-    n = base if length is None else length
-    if n < base or (n - base) % 2:
-        if length is not None and n >= 0:
-            return []
-        raise BadFactorization(f"no factorizations of length {n}")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(q: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if budget is not None:
-            budget.charge("max_tuples", n_refl)
-        for t in range(n_refl):
-            nq = mult[t][q]
-            need = lengths[nq]
-            if need <= remaining - 1 and (remaining - 1 - need) % 2 == 0:
-                prefix.append(t)
-                walk(nq, remaining - 1)
-                prefix.pop()
-
-    walk(start, n)
-    return out
+    if length is not None and length < 0:
+        raise BadFactorization(f"no factorizations of length {length}")
+    return list(factorizations(g, length, budget))
 
 
 def enumerate_full_factorizations(
@@ -242,18 +219,10 @@ def enumerate_full_factorizations(
     """Factorizations of ``g`` whose factors generate the whole group, at the
     given length (default: the minimum possible, the full reflection
     length)."""
-    w = g.group
     if length is None:
         length = full_reflection_length(g, budget)
-    memo: dict[frozenset[int], bool] = {}
-
-    def full(fact: tuple[int, ...]) -> bool:
-        key = frozenset(fact)
-        if key not in memo:
-            memo[key] = w.generates_whole(key)
-        return memo[key]
-
-    return [f for f in enumerate_factorizations(g, length, budget) if full(f)]
+    whole = generation_memo(g.group)
+    return [f for f in enumerate_factorizations(g, length, budget) if whole(f)]
 
 
 def partition_into_orbits(
@@ -317,8 +286,6 @@ def verify_conjecture(
     other elements the verdict is data, not a theorem, and is recorded
     either way.
     """
-    from .absorder import is_parabolic_quasi_coxeter
-
     orbits = tuple(partition_into_orbits(g, length, budget))
     invariants = [o.invariant for o in orbits]
     return ConjectureReport(

@@ -3,6 +3,8 @@ quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
 * reduced factorizations: pruned search vs brute-force product filtering,
+* the factorization walker: empty at impossible lengths, equal to the
+  enumeration and to product filtering elsewhere, and lazy under a budget,
 * parabolic closure membership vs fixed-space containment of matrices,
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
@@ -25,6 +27,7 @@ from coxorbits import absorder
 from coxorbits.absorder import (
     absolute_leq,
     classify_element,
+    factorizations,
     full_reflection_length,
     is_parabolic,
     is_parabolic_quasi_coxeter,
@@ -262,6 +265,38 @@ def test_reduced_factorizations_budget():
         list(reduced_factorizations(coxeter_element(w), Budget(max_tuples=10)))
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "I2(5)", "A2xI2(5)"])
+def test_factorizations_empty_at_impossible_lengths(label):
+    w = cached_group(label)
+    for g in w.elements():
+        k = reflection_length(g)
+        assert list(factorizations(g, 0)) == ([()] if k == 0 else [])
+        for n in range(k + 4):
+            if n < k or (n - k) % 2:
+                assert list(factorizations(g, n)) == [], (g, n)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "I2(5)"])
+def test_factorizations_match_enumeration_and_brute_force(label):
+    w = cached_group(label)
+    for g in w.elements():
+        k = reflection_length(g)
+        for n in (k, k + 2):
+            ours = list(factorizations(g, n))
+            assert ours == enumerate_factorizations(g, n)
+            assert ours == sorted(brute_reduced_factorizations(g, n))
+
+
+def test_factorizations_are_lazy():
+    # the first factorization costs one root-to-leaf path, 8 * 12 tuples
+    w = cached_group("D4")
+    cap = 200
+    first = next(factorizations(w.identity, 8, Budget(max_tuples=cap)))
+    assert first == (0,) * 8
+    with pytest.raises(CapExceeded):
+        enumerate_factorizations(w.identity, 8, Budget(max_tuples=cap))
+
+
 # -- quasi-Coxeter classification ------------------------------------------
 
 
@@ -440,14 +475,15 @@ def brute_full_length(g, closure_orders: dict) -> int:
         length += 2
 
 
+# H3 has rank 3, so its length bound 3 takes in all 120 elements
 @pytest.mark.parametrize(
-    "label, only_length", [("B3", None), ("A2xI2(5)", None), ("H3", 3)]
+    "label, max_length", [("B3", None), ("A2xI2(5)", None), ("H3", 3)]
 )
-def test_full_length_matches_brute_force(label, only_length):
+def test_full_length_matches_brute_force(label, max_length):
     w = cached_group(label)
     orders: dict = {}
     for g in w.elements():
-        if only_length is None or reflection_length(g) == only_length:
+        if max_length is None or reflection_length(g) <= max_length:
             assert full_reflection_length(g) == brute_full_length(g, orders), g
 
 
