@@ -60,6 +60,11 @@ class CampaignConfig:
             value = getattr(self, cap)
             if value is not None and value <= 0:
                 raise ValueError(f"{cap} must be positive, got {value}")
+        # a factorization's excess over the reflection length is even, so
+        # an odd offset has no factorizations and its items would pass empty
+        for offset in self.offsets:
+            if offset < 0 or offset % 2:
+                raise ValueError(f"offsets must be even and nonnegative, got {offset}")
 
     def item_budget(self) -> Budget | None:
         """A fresh budget per item, or None when every cap is unlimited.
@@ -188,81 +193,63 @@ def _warm_tables(w: CoxeterGroup) -> None:
     w.refl_conj_table
     w.reflection_serializations
     w.simple_reflection_ids
+    absorder.length_table(w)
 
 
 # -- campaign item builders ------------------------------------------------
 
 
 def _items_carter(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
-    elems = w.elements()
     ids = w.element_ids()
     table = w.refl_mult_table
     dist = _bfs_lengths(w)
-    absorder.length_table(w)
     n_refl = w.num_reflections
 
-    def make(index, g):
-        def work(budget):
-            _charge(budget, "max_states", n_refl)
-            length = absorder.reflection_length(g)
-            e = ids[g.comps]
-            bfs = dist[e]
-            below_by_length = {
-                t for t in range(n_refl) if dist[table[t][e]] == dist[e] - 1
-            }
-            below_by_space = set(absorder.reflections_fixing(g))
-            below_by_closure = set(absorder.parabolic_closure(g).reflection_ids)
-            ok = (
-                length == bfs
-                and below_by_length == below_by_space == below_by_closure
-            )
-            return ok, {
-                "length": length,
-                "bfs_length": bfs,
-                "reflections_below": len(below_by_length),
-            }
+    def check(g, budget):
+        _charge(budget, "max_states", n_refl)
+        length = absorder.reflection_length(g)
+        e = ids[g.comps]
+        bfs = dist[e]
+        below_by_length = {
+            t for t in range(n_refl) if dist[table[t][e]] == dist[e] - 1
+        }
+        below_by_space = set(absorder.reflections_fixing(g))
+        below_by_closure = set(absorder.parabolic_closure(g).reflection_ids)
+        ok = (
+            length == bfs
+            and below_by_length == below_by_space == below_by_closure
+        )
+        return ok, {
+            "length": length,
+            "bfs_length": bfs,
+            "reflections_below": len(below_by_length),
+        }
 
-        return {"item": index, "element": g.serialize()}, work
-
-    return [make(i, g) for i, g in enumerate(elems)]
+    return _items_per_element(w, check)
 
 
 def _items_pqc(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
-    elems = w.elements()
     _warm_tables(w)
-    absorder.length_table(w)
     absorder.quasi_coxeter_elements(w)
     n = w.rank
 
-    def make(index, g):
-        def work(budget):
-            cls = absorder.classify_element(g, budget=budget)
-            pqc = cls.is_parabolic_quasi_coxeter
-            transitive = hurwitz.hurwitz_transitive_on_reduced(g, budget=budget)
-            below = absorder.below_some_quasi_coxeter(g)
-            full = absorder.full_reflection_length(g, budget=budget)
-            by_full = full == 2 * n - cls.length
-            ok = pqc == transitive == below == by_full
-            return ok, {
-                "length": cls.length,
-                "pqc": pqc,
-                "hurwitz_transitive_reduced": transitive,
-                "below_quasi_coxeter": below,
-                "full_length": full,
-            }
+    def check(g, budget):
+        cls = absorder.classify_element(g, budget=budget)
+        pqc = cls.is_parabolic_quasi_coxeter
+        transitive = hurwitz.hurwitz_transitive_on_reduced(g, budget=budget)
+        below = absorder.below_some_quasi_coxeter(g)
+        full = absorder.full_reflection_length(g, budget=budget)
+        by_full = full == 2 * n - cls.length
+        ok = pqc == transitive == below == by_full
+        return ok, {
+            "length": cls.length,
+            "pqc": pqc,
+            "hurwitz_transitive_reduced": transitive,
+            "below_quasi_coxeter": below,
+            "full_length": full,
+        }
 
-        return {"item": index, "element": g.serialize()}, work
-
-    return [make(i, g) for i, g in enumerate(elems)]
-
-
-def _pqc_elements(w: CoxeterGroup):
-    absorder.length_table(w)
-    return [
-        g
-        for g in w.elements()
-        if absorder.classify_element(g).is_parabolic_quasi_coxeter
-    ]
+    return _items_per_element(w, check)
 
 
 def _orbit_record(length: int, orbit: hurwitz.HurwitzOrbit) -> dict:
@@ -276,6 +263,18 @@ def _orbit_record(length: int, orbit: hurwitz.HurwitzOrbit) -> dict:
     }
 
 
+def _items_per_element(
+    w: CoxeterGroup,
+    check: Callable[[GroupElement, Budget | None], tuple[bool, dict]],
+) -> list[Item]:
+    """One item per element, in canonical element order, run as
+    ``check(g, budget)``."""
+    return [
+        ({"item": index, "element": g.serialize()}, partial(check, g))
+        for index, g in enumerate(w.elements())
+    ]
+
+
 def _items_per_pqc_length(
     w: CoxeterGroup,
     cfg: CampaignConfig,
@@ -284,13 +283,13 @@ def _items_per_pqc_length(
     """One item per (parabolic quasi-Coxeter element, offset), in canonical
     element order, run as ``check(g, l(g) + offset, budget)``."""
     _warm_tables(w)
-    lengths = absorder.length_table(w)
-    ids = w.element_ids()
     items = []
-    for g in _pqc_elements(w):
-        base = lengths[ids[g.comps]]
+    for g in w.elements():
+        cls = absorder.classify_element(g)
+        if not cls.is_parabolic_quasi_coxeter:
+            continue
         for offset in cfg.offsets:
-            length = base + offset
+            length = cls.length + offset
             key = {"item": len(items), "element": g.serialize(), "length": length}
             items.append((key, partial(check, g, length)))
     return items
@@ -309,29 +308,24 @@ def _items_conjecture(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
 
 
 def _items_min_full(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
-    elems = w.elements()
     _warm_tables(w)
-    absorder.length_table(w)
 
-    def make(index, g):
-        def work(budget):
-            full = absorder.full_reflection_length(g, budget=budget)
-            orbits = hurwitz.partition_into_orbits(
-                g, full, budget=budget, full_only=True
-            )
-            total = sum(o.size for o in orbits)
-            # pass when distinct orbits carry distinct invariants: the class
-            # multiset can differ between orbits (-1 in I2(6) has two)
-            invariants = {o.invariant for o in orbits}
-            return len(invariants) == len(orbits), {
-                "full_length": full,
-                "num_orbits": len(orbits),
-                "num_factorizations": total,
-            }
+    def check(g, budget):
+        full = absorder.full_reflection_length(g, budget=budget)
+        orbits = hurwitz.partition_into_orbits(
+            g, full, budget=budget, full_only=True
+        )
+        total = sum(o.size for o in orbits)
+        # pass when distinct orbits carry distinct invariants: the class
+        # multiset can differ between orbits (-1 in I2(6) has two)
+        invariants = {o.invariant for o in orbits}
+        return len(invariants) == len(orbits), {
+            "full_length": full,
+            "num_orbits": len(orbits),
+            "num_factorizations": total,
+        }
 
-        return {"item": index, "element": g.serialize()}, work
-
-    return [make(i, g) for i, g in enumerate(elems)]
+    return _items_per_element(w, check)
 
 
 def _items_lr(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:

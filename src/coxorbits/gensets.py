@@ -280,21 +280,23 @@ def dihedral_generates(triple: DihedralTriple) -> bool:
     return gcd(gcd(triple.a12, triple.a13), gcd(triple.a23, triple.m)) == 1
 
 
+def _pair_angle(triple: DihedralTriple, pair: tuple[int, int]) -> int:
+    """The angle multiple ``A_ij`` of the lines ``i`` and ``j`` (1-based,
+    in either order)."""
+    return {(1, 2): triple.a12, (1, 3): triple.a13, (2, 3): triple.a23}[
+        tuple(sorted(pair))
+    ]
+
+
 def dihedral_pair_generates(triple: DihedralTriple, pair: tuple[int, int]) -> bool:
     """Whether the lines ``i`` and ``j`` (1-based, as in ``A_ij``) already
     generate on their own."""
-    a = {(1, 2): triple.a12, (1, 3): triple.a13, (2, 3): triple.a23}[
-        tuple(sorted(pair))
-    ]
-    return gcd(a, triple.m) == 1
+    return gcd(_pair_angle(triple, pair), triple.m) == 1
 
 
 def dihedral_pair_subgroup_order(triple: DihedralTriple, pair: tuple[int, int]) -> int:
     """Order of the dihedral subgroup generated by the pair of lines."""
-    a = {(1, 2): triple.a12, (1, 3): triple.a13, (2, 3): triple.a23}[
-        tuple(sorted(pair))
-    ]
-    return 2 * triple.m // gcd(a, triple.m)
+    return 2 * triple.m // gcd(_pair_angle(triple, pair), triple.m)
 
 
 def realize_triple(w: CoxeterGroup, triple: DihedralTriple) -> tuple[int, int, int]:
@@ -388,21 +390,22 @@ def _vector_factor_for_graph(w: CoxeterGroup, family: str | None) -> tuple[Vecto
     return factor, actual, vertices
 
 
+def _edge_of_root(root) -> tuple[int, int, int]:
+    """The signed-graph edge of an A/B/D root: a loop for ``e_i``, a plain
+    edge for ``e_i - e_j``, a negative edge for ``e_i + e_j``."""
+    support = [i for i, c in enumerate(root) if c]
+    if len(support) == 1:
+        return (support[0], support[0], 1)
+    i, j = support
+    return (i, j, 1 if root[i] != root[j] else -1)
+
+
 def signed_graph_of(
     w: CoxeterGroup, refl_ids: Iterable[int], family: str | None = None
 ) -> SignedGraph:
     """Translate reflections of an A/B/D group into a signed graph."""
     factor, actual, vertices = _vector_factor_for_graph(w, family)
-    edges = []
-    for t in sorted(set(refl_ids)):
-        root = factor.root_vector(t)
-        support = [i for i, c in enumerate(root) if c]
-        if len(support) == 1:
-            edges.append((support[0], support[0], 1))
-        else:
-            i, j = support
-            sign = 1 if root[i] != root[j] else -1
-            edges.append((i, j, sign))
+    edges = [_edge_of_root(factor.root_vector(t)) for t in set(refl_ids)]
     return SignedGraph(n=vertices, edges=tuple(sorted(edges)))
 
 
@@ -411,65 +414,58 @@ def reflections_of_graph(w: CoxeterGroup, graph: SignedGraph) -> tuple[int, ...]
     factor, actual, vertices = _vector_factor_for_graph(w, None)
     if graph.n != vertices:
         raise TypeMismatch(f"graph on {graph.n} vertices, group needs {vertices}")
-    by_edge = {}
-    for t in range(factor.num_reflections):
-        root = factor.root_vector(t)
-        support = [i for i, c in enumerate(root) if c]
-        if len(support) == 1:
-            by_edge[(support[0], support[0], 1)] = t
-        else:
-            i, j = support
-            by_edge[(i, j, 1 if root[i] != root[j] else -1)] = t
+    by_edge = {
+        _edge_of_root(factor.root_vector(t)): t
+        for t in range(factor.num_reflections)
+    }
     try:
         return tuple(sorted(by_edge[e] for e in graph.edges))
     except KeyError as e:
         raise TypeMismatch(f"edge {e.args[0]} has no reflection in {w.name}")
 
 
-def _components(graph: SignedGraph) -> list[set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.n)}
-    for i, j, _ in graph.edges:
+def _spanning_forest(
+    graph: SignedGraph,
+) -> tuple[list[tuple[int, int, int]], list[int], int]:
+    """One depth-first pass over the non-loop edges: the edges of a spanning
+    forest, each vertex's parity (the number of negative edges on its tree
+    path from its component's least vertex, mod 2), and the number of
+    components."""
+    adj: list[list[tuple[int, tuple[int, int, int]]]] = [[] for _ in range(graph.n)]
+    for edge in graph.edges:
+        i, j, _ = edge
         if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for v in range(graph.n):
-        if v in seen:
+            adj[i].append((j, edge))
+            adj[j].append((i, edge))
+    parity = [-1] * graph.n
+    tree = []
+    components = 0
+    for root in range(graph.n):
+        if parity[root] >= 0:
             continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _is_balanced(graph: SignedGraph) -> bool:
-    """No cycle with an odd number of negative edges (loops ignored)."""
-    parity: dict[int, int] = {}
-    for comp in _components(graph):
-        root = min(comp)
+        components += 1
         parity[root] = 0
-        frontier = [root]
-        edges = [(i, j, s) for i, j, s in graph.edges if i != j]
-        while frontier:
-            x = frontier.pop()
-            for i, j, s in edges:
-                if x in (i, j):
-                    y = j if x == i else i
-                    want = parity[x] ^ (1 if s < 0 else 0)
-                    if y not in parity:
-                        parity[y] = want
-                        frontier.append(y)
-                    elif parity[y] != want:
-                        return False
-    return True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, edge in adj[x]:
+                if parity[y] < 0:
+                    parity[y] = parity[x] ^ (edge[2] < 0)
+                    tree.append(edge)
+                    stack.append(y)
+    return tree, parity, components
+
+
+def _negative_chord(
+    graph: SignedGraph, parity: list[int]
+) -> tuple[int, int, int] | None:
+    """The first non-loop edge that closes a cycle with an odd number of
+    negative edges, or None when the graph is balanced.  Tree edges agree
+    with the parities, so only a chord can disagree."""
+    for i, j, s in graph.edges:
+        if i != j and parity[i] ^ parity[j] != (s < 0):
+            return (i, j, s)
+    return None
 
 
 def _validate_graph(graph: SignedGraph, family: str) -> None:
@@ -486,47 +482,29 @@ def graph_generation_test(graph: SignedGraph, family: str) -> bool:
     connected with a negative cycle (some cycle with an odd number of
     ``e_i + e_j`` edges)."""
     _validate_graph(graph, family)
-    connected = len(_components(graph)) == 1
+    _, parity, components = _spanning_forest(graph)
+    if components != 1:
+        return False
     if family == "A":
-        return connected
+        return True
     if family == "B":
-        return connected and bool(graph.loops)
-    return connected and not _is_balanced(graph)
+        return bool(graph.loops)
+    return _negative_chord(graph, parity) is not None
 
 
 def extract_minimum_subset(graph: SignedGraph, family: str) -> SignedGraph:
     """A rank-size generating subset inside a generating graph: a spanning
     tree (A), a spanning tree plus a loop (B), or a spanning unicycle whose
     cycle is negative (D)."""
-    _validate_graph(graph, family)
     if not graph_generation_test(graph, family):
         raise NotGenerating(f"graph does not generate a type-{family} group")
-    non_loops = [(i, j, s) for i, j, s in graph.edges if i != j]
-    tree: list[tuple[int, int, int]] = []
-    parity = {0: 0}
-    grew = True
-    while grew:
-        grew = False
-        for i, j, s in non_loops:
-            if (i in parity) != (j in parity):
-                x, y = (i, j) if i in parity else (j, i)
-                parity[y] = parity[x] ^ (1 if s < 0 else 0)
-                tree.append((i, j, s))
-                grew = True
-    if family == "A":
-        return SignedGraph(graph.n, tuple(sorted(tree)))
+    tree, parity, _ = _spanning_forest(graph)
     if family == "B":
         first_loop = min(graph.loops)
-        return SignedGraph(
-            graph.n, tuple(sorted(tree + [(first_loop, first_loop, 1)]))
-        )
-    chord = next(
-        (i, j, s)
-        for i, j, s in non_loops
-        if (i, j, s) not in tree
-        and (parity[i] ^ parity[j]) != (1 if s < 0 else 0)
-    )
-    return SignedGraph(graph.n, tuple(sorted(tree + [chord])))
+        tree.append((first_loop, first_loop, 1))
+    elif family == "D":
+        tree.append(_negative_chord(graph, parity))
+    return SignedGraph(graph.n, tuple(sorted(tree)))
 
 
 # -- class multiset invariance ---------------------------------------------

@@ -15,6 +15,11 @@ walked breadth-first using left moves only: on a finite set the monoid
 generated by bijections is the group they generate, so inverse moves reach
 nothing new.
 
+A partition is one lazy pass over :func:`~coxorbits.absorder.factorizations`:
+each factorization not yet in an orbit seeds the walk of its own orbit and,
+arriving in lexicographic order, is that orbit's least member.  No copy of
+the ground set is kept; one count at the end checks that orbits cover it.
+
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
 (within that subgroup) of the factors.  The invariant is constant along an
@@ -24,12 +29,12 @@ campaigns measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .absorder import (
     factorizations,
     full_reflection_length,
     generation_memo,
-    is_parabolic_quasi_coxeter,
     length_table,
     reflection_length,
 )
@@ -196,6 +201,22 @@ def hurwitz_orbit(
     )
 
 
+def _ground_set(
+    g: GroupElement, length: int | None, budget: Budget | None, full_only: bool
+) -> Iterator[tuple[int, ...]]:
+    """The factorizations of ``g`` with ``length`` factors, lazily, in
+    lexicographic order.  With ``full_only`` only those whose factors
+    generate the whole group, and the length defaults to the full reflection
+    length.  A negative length raises :class:`BadFactorization` at once."""
+    if length is not None and length < 0:
+        raise BadFactorization(f"no factorizations of length {length}")
+    if not full_only:
+        return factorizations(g, length, budget)
+    if length is None:
+        length = full_reflection_length(g, budget)
+    return filter(generation_memo(g.group), factorizations(g, length, budget))
+
+
 def enumerate_factorizations(
     g: GroupElement,
     length: int | None = None,
@@ -206,9 +227,7 @@ def enumerate_factorizations(
     when no factorization of that length exists.  A negative length raises
     :class:`BadFactorization`.
     """
-    if length is not None and length < 0:
-        raise BadFactorization(f"no factorizations of length {length}")
-    return list(factorizations(g, length, budget))
+    return list(_ground_set(g, length, budget, full_only=False))
 
 
 def enumerate_full_factorizations(
@@ -219,10 +238,7 @@ def enumerate_full_factorizations(
     """Factorizations of ``g`` whose factors generate the whole group, at the
     given length (default: the minimum possible, the full reflection
     length)."""
-    if length is None:
-        length = full_reflection_length(g, budget)
-    whole = generation_memo(g.group)
-    return [f for f in enumerate_factorizations(g, length, budget) if whole(f)]
+    return list(_ground_set(g, length, budget, full_only=True))
 
 
 def partition_into_orbits(
@@ -234,43 +250,47 @@ def partition_into_orbits(
     """Partition the factorizations of ``g`` at one length into Hurwitz
     orbits, sorted by their minimal representatives.
 
+    One lazy pass: each factorization that no earlier orbit holds seeds a
+    walk.  Seeds arrive in lexicographic order and orbits are disjoint, so
+    the seed is its orbit's least member and its representative.  Orbits
+    covering more tuples than were enumerated (a walk left the ground set)
+    raise :class:`BadFactorization`, as does a negative length.
+
     With ``full_only`` the ground set is restricted to factorizations whose
     factors generate the whole group; moves never leave that set.
     """
     w = g.group
-    if full_only:
-        facts = enumerate_full_factorizations(g, length, budget)
-    else:
-        facts = enumerate_factorizations(g, length, budget)
     base = length_table(w)[w.element_ids()[g.comps]]
-    remaining = set(facts)
+    assigned: set[tuple[int, ...]] = set()
+    enumerated = 0
     orbits = []
-    for seed in facts:  # lex order; orbits appear by minimal member
-        if seed not in remaining:
+    for seed in _ground_set(g, length, budget, full_only):
+        enumerated += 1
+        if seed in assigned:
             continue
         seen, witness = _walk_orbit(w, seed, budget, base)
-        if not seen <= remaining:
-            raise BadFactorization("orbit escaped its enumeration ground set")
-        remaining -= seen
+        assigned |= seen
         orbits.append(
             HurwitzOrbit(
-                representative=Factorization(w, min(seen)),
+                representative=Factorization(w, seed),
                 size=len(seen),
                 invariant=orbit_invariant(w, seed),
                 lr_witness=witness,
             )
         )
+    if len(assigned) != enumerated:
+        raise BadFactorization("orbit escaped its enumeration ground set")
     return orbits
 
 
 @dataclass(frozen=True)
 class ConjectureReport:
     """Outcome of checking, for one element and one length, that Hurwitz
-    orbits are in bijection with their invariants."""
+    orbits (each represented by its least member) are in bijection with
+    their invariants."""
 
     element: GroupElement
     length: int
-    subject_is_pqc: bool
     orbits: tuple[HurwitzOrbit, ...]
     num_factorizations: int
     bijection: bool
@@ -280,22 +300,33 @@ def verify_conjecture(
     g: GroupElement, length: int, budget: Budget | None = None
 ) -> ConjectureReport:
     """Partition all length-``length`` factorizations of ``g`` into orbits
-    and test that distinct orbits carry distinct invariants.
+    in one lazy pass and test that distinct orbits carry distinct invariants.
 
     The bijection is guaranteed when ``g`` is parabolic quasi-Coxeter; for
-    other elements the verdict is data, not a theorem, and is recorded
-    either way.
+    other elements the verdict is data, not a theorem.  ``g`` is not
+    classified here.
     """
     orbits = tuple(partition_into_orbits(g, length, budget))
     invariants = [o.invariant for o in orbits]
     return ConjectureReport(
         element=g,
         length=length,
-        subject_is_pqc=is_parabolic_quasi_coxeter(g, budget=budget),
         orbits=orbits,
         num_factorizations=sum(o.size for o in orbits),
         bijection=len(set(invariants)) == len(orbits),
     )
+
+
+def _transitive(
+    w: CoxeterGroup, facts: list[tuple[int, ...]], budget: Budget | None
+) -> bool:
+    """Whether one orbit is all of ``facts``.  Moves keep the product, the
+    length and the generated subgroup, so the orbit of ``facts[0]`` never
+    leaves ``facts`` and its size decides."""
+    if len(facts) <= 1:
+        return True
+    seen, _ = _walk_orbit(w, facts[0], budget, None)
+    return len(seen) == len(facts)
 
 
 def hurwitz_transitive_on_reduced(
@@ -303,11 +334,7 @@ def hurwitz_transitive_on_reduced(
 ) -> bool:
     """Whether the Hurwitz action is transitive on the reduced reflection
     factorizations of ``g``."""
-    facts = enumerate_factorizations(g, None, budget)
-    if len(facts) <= 1:
-        return True
-    seen, _ = _walk_orbit(g.group, facts[0], budget, None)
-    return len(seen) == len(facts)
+    return _transitive(g.group, enumerate_factorizations(g, None, budget), budget)
 
 
 def hurwitz_transitive_on_min_full(
@@ -315,11 +342,7 @@ def hurwitz_transitive_on_min_full(
 ) -> bool:
     """Whether the Hurwitz action is transitive on the minimum-length full
     reflection factorizations of ``g``."""
-    facts = enumerate_full_factorizations(g, None, budget)
-    if len(facts) <= 1:
-        return True
-    seen, _ = _walk_orbit(g.group, facts[0], budget, None)
-    return len(seen & set(facts)) == len(facts)
+    return _transitive(g.group, enumerate_full_factorizations(g, None, budget), budget)
 
 
 def find_lr_witness(

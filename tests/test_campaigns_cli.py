@@ -39,6 +39,9 @@ def test_config_validation():
         CampaignConfig(group="A2", campaign="everything")
     with pytest.raises(ValueError):
         CampaignConfig(group="A2", campaign="carter", max_tuples=0)
+    for offsets in [(1,), (0, 3), (-2,)]:
+        with pytest.raises(ValueError):
+            CampaignConfig(group="A2", campaign="conjecture", offsets=offsets)
 
 
 def test_config_record_excludes_plumbing():

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import brute_reduced_factorizations, cached_group
 from coxorbits import hurwitz
-from coxorbits.absorder import reflection_length
+from coxorbits.absorder import is_parabolic_quasi_coxeter, reflection_length
 from coxorbits.budget import Budget
-from coxorbits.errors import CapExceeded, IndexOutOfRange, ShapeNotFound
+from coxorbits.errors import (
+    BadFactorization,
+    CapExceeded,
+    IndexOutOfRange,
+    ShapeNotFound,
+)
 from coxorbits.hurwitz import (
     Factorization,
     enumerate_factorizations,
@@ -276,7 +281,7 @@ def test_partition_length_two_a1xa1():
 def test_partition_identity_a2_length4():
     w = cached_group("A2")
     report = verify_conjecture(w.identity, 4)
-    assert report.subject_is_pqc
+    assert is_parabolic_quasi_coxeter(w.identity)
     assert report.bijection
     assert report.num_factorizations == 27
     sizes = sorted(o.size for o in report.orbits)
@@ -297,7 +302,7 @@ def test_partition_minus_one_b2_two_orbits():
 def test_conjecture_b2_coxeter_length4():
     w = cached_group("B2")
     report = verify_conjecture(coxeter_element(w), 4)
-    assert report.subject_is_pqc
+    assert is_parabolic_quasi_coxeter(coxeter_element(w))
     assert report.bijection
 
 
@@ -307,11 +312,11 @@ def test_conjecture_dihedral_rotations():
     rho1 = r1 * r0  # generator rotation: quasi-Coxeter
     for n in (2, 4):
         report = verify_conjecture(rho1, n)
-        assert report.subject_is_pqc
+        assert is_parabolic_quasi_coxeter(rho1)
         assert report.bijection
     rho2 = rho1 * rho1  # gcd(2,8) > 1: not pqc; verdict recorded as data
     report = verify_conjecture(rho2, 2)
-    assert not report.subject_is_pqc
+    assert not is_parabolic_quasi_coxeter(rho2)
     assert report.num_factorizations == 8
 
 
@@ -323,6 +328,36 @@ def test_orbit_records_cover_all_factorizations():
     assert total == len(enumerate_factorizations(c, 5))
     reps = [o.representative.factors for o in orbits]
     assert reps == sorted(reps)
+    # at length 5, 240 of the 256 factorizations of this B2 reflection
+    # generate B2, and they fall into two orbits
+    t = cached_group("B2").reflection(2)
+    full_orbits = partition_into_orbits(t, 5, full_only=True)
+    assert len(full_orbits) == 2
+    total = sum(o.size for o in full_orbits)
+    assert total == len(enumerate_full_factorizations(t, 5)) == 240
+    reps = [o.representative.factors for o in full_orbits]
+    assert reps == sorted(reps)
+    for o in full_orbits:
+        assert o.representative.factors == min(two_sided_orbit(o.representative))
+
+
+def test_partition_rejects_an_orbit_outside_its_ground_set(monkeypatch):
+    w = cached_group("A2")
+    walk = hurwitz._walk_orbit
+
+    def escaping_walk(*args):
+        seen, witness = walk(*args)
+        return seen | {(0, 0, 0, 0)}, witness  # a factorization of 1
+
+    monkeypatch.setattr(hurwitz, "_walk_orbit", escaping_walk)
+    with pytest.raises(BadFactorization):
+        partition_into_orbits(coxeter_element(w), 4)
+
+
+def test_partition_rejects_negative_length():
+    w = cached_group("A2")
+    with pytest.raises(BadFactorization):
+        partition_into_orbits(w.identity, -1)
 
 
 # -- transitivity ----------------------------------------------------------
