@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .budget import Budget
 from .errors import (
@@ -377,7 +377,11 @@ class SignedGraph:
 _GRAPH_FAMILIES = ("A", "B", "D")
 
 
-def _vector_factor_for_graph(w: CoxeterGroup, family: str | None) -> tuple[VectorFactor, str, int]:
+def _graph_model(
+    w: CoxeterGroup, family: str | None
+) -> tuple[VectorFactor, Callable[[int], tuple[int, int, int]], int]:
+    """The factor of a single A/B/D group, the signed-graph edge of each of
+    its reflections, and the number of vertices."""
     if len(w.factors) != 1 or not isinstance(w.factors[0], VectorFactor):
         raise TypeMismatch(f"{w.name} has no single vector realization")
     factor = w.factors[0]
@@ -386,38 +390,48 @@ def _vector_factor_for_graph(w: CoxeterGroup, family: str | None) -> tuple[Vecto
         raise TypeMismatch(f"no signed-graph model for family {actual}")
     if family is not None and family != actual:
         raise TypeMismatch(f"{w.name} is type {actual}, not {family}")
-    vertices = factor.rank + 1 if actual == "A" else factor.rank
-    return factor, actual, vertices
+    n = factor.rank
+    vertices = n + 1 if actual == "A" else n
+    # the simple roots' own edges: e_k - e_(k+1), then B's last root e_(n-1)
+    # or D's last root e_(n-2) + e_(n-1)
+    simple_edges = [(k, k + 1, 1) for k in range(n if actual == "A" else n - 1)]
+    if actual == "B":
+        simple_edges.append((n - 1, n - 1, 1))
+    elif actual == "D":
+        simple_edges.append((n - 2, n - 1, -1))
 
+    def edge_of(t: int) -> tuple[int, int, int]:
+        # the root's coordinates on e_0..e_(vertices-1): a loop for e_i, a
+        # plain edge for e_i - e_j, a negative edge for e_i + e_j
+        ambient = [0] * vertices
+        for c, (i, j, sign) in zip(factor.root_vector(t), simple_edges):
+            ambient[i] += c.a
+            if i != j:
+                ambient[j] -= sign * c.a
+        support = [i for i, c in enumerate(ambient) if c]
+        if len(support) == 1:
+            return (support[0], support[0], 1)
+        i, j = support
+        return (i, j, 1 if ambient[i] != ambient[j] else -1)
 
-def _edge_of_root(root) -> tuple[int, int, int]:
-    """The signed-graph edge of an A/B/D root: a loop for ``e_i``, a plain
-    edge for ``e_i - e_j``, a negative edge for ``e_i + e_j``."""
-    support = [i for i, c in enumerate(root) if c]
-    if len(support) == 1:
-        return (support[0], support[0], 1)
-    i, j = support
-    return (i, j, 1 if root[i] != root[j] else -1)
+    return factor, edge_of, vertices
 
 
 def signed_graph_of(
     w: CoxeterGroup, refl_ids: Iterable[int], family: str | None = None
 ) -> SignedGraph:
     """Translate reflections of an A/B/D group into a signed graph."""
-    factor, actual, vertices = _vector_factor_for_graph(w, family)
-    edges = [_edge_of_root(factor.root_vector(t)) for t in set(refl_ids)]
+    _, edge_of, vertices = _graph_model(w, family)
+    edges = [edge_of(t) for t in set(refl_ids)]
     return SignedGraph(n=vertices, edges=tuple(sorted(edges)))
 
 
 def reflections_of_graph(w: CoxeterGroup, graph: SignedGraph) -> tuple[int, ...]:
     """Inverse translation: the reflection ids realizing a signed graph."""
-    factor, actual, vertices = _vector_factor_for_graph(w, None)
+    factor, edge_of, vertices = _graph_model(w, None)
     if graph.n != vertices:
         raise TypeMismatch(f"graph on {graph.n} vertices, group needs {vertices}")
-    by_edge = {
-        _edge_of_root(factor.root_vector(t)): t
-        for t in range(factor.num_reflections)
-    }
+    by_edge = {edge_of(t): t for t in range(factor.num_reflections)}
     try:
         return tuple(sorted(by_edge[e] for e in graph.edges))
     except KeyError as e:

@@ -1,8 +1,10 @@
 """Finite Coxeter groups with exact element arithmetic.
 
 A group is a product of irreducible factors.  Vector-realized factors store
-their full root system once and represent each element as a permutation of the
-root list, so multiplication is index chasing and never touches coordinates.
+their full root system once, each root by its coefficients on the simple
+roots (the form is the simple roots' Gram matrix, see ``roots.gram_matrix``),
+and represent each element as a permutation of the root list, so
+multiplication is index chasing and never touches coordinates.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
 element of a product holds one component per factor.  All fixed-space
 geometry runs on one span routine per factor kind (see ``_Factor``).
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from . import linalg, roots
+from . import roots
 from .errors import (
     CapExceeded,
     GroupMismatch,
@@ -78,7 +80,9 @@ class _Factor:
 
 
 class VectorFactor(_Factor):
-    """An irreducible factor realized by an explicit root system.
+    """An irreducible factor realized by an explicit root system in
+    simple-root coordinates: the simple roots are the unit vectors and open
+    the root list, and a root's height is the sum of its coordinates.
 
     Its span basis is reduced echelon: a tuple of ``(lead, row)`` pairs in
     which each row has 1 at its own lead and 0 at every other row's lead.
@@ -87,11 +91,10 @@ class VectorFactor(_Factor):
     kind = "vector"
 
     def __init__(self, ir: roots.IrreducibleDatum):
-        simples, form, _ = roots.simple_root_data(ir)
-        self.rank = len(simples)
-        self.form = form
-        self.simples = tuple(simples)
-        self.roots: tuple[Vector, ...] = self._close(simples)
+        self.rank = ir.rank
+        self.form = roots.gram_matrix(ir)
+        self.simples = Matrix.identity(self.rank).rows
+        self.roots: tuple[Vector, ...] = self._close(self.simples)
         self.root_index = {v: i for i, v in enumerate(self.roots)}
         self.neg_of = tuple(
             self.root_index[tuple(-c for c in v)] for v in self.roots
@@ -124,13 +127,10 @@ class VectorFactor(_Factor):
         return tuple(queue)
 
     def _classify_roots(self) -> None:
-        # rho with (rho, alpha_i) = 1 for each simple root makes (rho, beta)
-        # the height of beta, positive exactly on the positive roots
-        f_simples = Matrix.from_columns([self.form.apply(a) for a in self.simples])
-        gram = Matrix.from_rows(self.simples) * f_simples
-        f_rho = f_simples.apply(linalg.solve_square(gram, (_ONE,) * self.rank))
+        # a root is positive exactly when its height, the sum of its
+        # coefficients on the simple roots, is positive
         self.positive_roots = tuple(
-            idx for idx, v in enumerate(self.roots) if _dot(f_rho, v).sign() > 0
+            idx for idx, v in enumerate(self.roots) if sum(v, _ZERO).sign() > 0
         )
         refl_of = [0] * len(self.roots)
         for t, idx in enumerate(self.positive_roots):
@@ -140,7 +140,6 @@ class VectorFactor(_Factor):
         # simple roots were seeded first, so they open the positive list and
         # the first `rank` reflection ids are the simple reflections
         assert self.positive_roots[: self.rank] == tuple(range(self.rank))
-        self.simple_root_idx = tuple(range(self.rank))
         self.simple_refl_local = tuple(range(self.rank))
 
     # -- element components ------------------------------------------------
@@ -174,7 +173,7 @@ class VectorFactor(_Factor):
         return self.refl_of_root[self.refl_comp(b)[self.positive_roots[a]]]
 
     def serialize_comp(self, p: Comp) -> str:
-        return ",".join(str(p[i]) for i in self.simple_root_idx)
+        return ",".join(str(p[i]) for i in range(self.rank))
 
     # -- fixed-space geometry ----------------------------------------------
 
@@ -182,7 +181,7 @@ class VectorFactor(_Factor):
         """The nonzero ``g(alpha_i) - alpha_i`` over the simple roots."""
         return [
             vec_sub(self.roots[p[i]], self.roots[i])
-            for i in self.simple_root_idx
+            for i in range(self.rank)
             if p[i] != i
         ]
 
@@ -212,19 +211,10 @@ class VectorFactor(_Factor):
             if j not in leads
         )
 
-    @cached_property
-    def _basis_inverse(self) -> tuple[list[Vector], Matrix]:
-        orth_rows = Matrix.from_rows(
-            [self.form.apply(a) for a in self.simples]
-        )
-        complement = linalg.kernel_basis(orth_rows)
-        basis = Matrix.from_columns(list(self.simples) + complement)
-        return complement, linalg.inverse(basis)
-
     def matrix_comp(self, p: Comp) -> Matrix:
-        complement, basis_inv = self._basis_inverse
-        image_cols = [self.roots[p[i]] for i in self.simple_root_idx] + complement
-        return Matrix.from_columns(image_cols) * basis_inv
+        """The matrix in the simple-root basis: column ``i`` is the image of
+        the ``i``-th simple root."""
+        return Matrix.from_columns([self.roots[p[i]] for i in range(self.rank)])
 
     def root_vector(self, t: int) -> Vector:
         return self.roots[self.positive_roots[t]]
@@ -344,7 +334,9 @@ class GroupElement:
         return k
 
     def matrix(self) -> Matrix:
-        """Block-diagonal ambient matrix (vector-realized factors only)."""
+        """Block-diagonal matrix in the simple-root basis of each factor
+        (vector-realized factors only): ``rank x rank``, so ``n x n`` for
+        ``A_n``."""
         blocks = []
         for f, c in zip(self.group.factors, self.comps):
             if f.kind != "vector":

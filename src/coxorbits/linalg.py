@@ -6,11 +6,11 @@ fraction-free (Bareiss-style) elimination, which keeps intermediate entries
 small; kernels come from an exact reduced row echelon form.  There are no
 tolerances: a pivot is nonzero or it is not.
 
-The package itself uses this module only at the ambient-matrix boundary
-(``GroupElement.matrix``, a factor's basis inverse) and once per root system
-to find the height covector; its fixed-space geometry runs on the factors'
-span routines instead.  The tests build their fixed-space oracles
-(codimension, containment) on the rank and kernel routines here.
+The package itself uses only the vector helpers and the :class:`Matrix`
+type here (``GroupElement.matrix``, the Gram matrix of a root system); its
+fixed-space geometry runs on the factors' span routines instead.  The tests
+build their fixed-space oracles (codimension, containment) on the rank and
+kernel routines here.
 """
 from __future__ import annotations
 
@@ -181,19 +181,4 @@ def solve_square(m: Matrix, b: Vector) -> Vector:
     if pivots != list(range(m.n_cols)):
         raise ValueError("matrix is singular")
     return tuple(rows[i][m.n_cols] for i in range(m.n_cols))
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of an invertible square matrix."""
-    n = m.n_rows
-    if n != m.n_cols:
-        raise ValueError("inverse needs a square matrix")
-    ident = Matrix.identity(n)
-    aug = Matrix(
-        tuple(row + irow for row, irow in zip(m.rows, ident.rows, strict=True))
-    )
-    rows, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(tuple(tuple(rows[i][n:]) for i in range(n)))
 

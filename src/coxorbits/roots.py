@@ -3,14 +3,17 @@
 A group is named by a product label such as ``"A3"``, ``"I2(30)"`` or
 ``"B2xA1"``; factors are separated by ``x``.  Supported irreducible families:
 
-* ``A(n>=1)``, ``B(n>=2)``, ``D(n>=4)`` with the usual coordinate roots,
-* ``E6``, ``E7``, ``E8``, ``F4`` with their crystallographic roots,
-* ``H3``, ``H4`` realized through the cosine form over Q(sqrt 5),
+* ``A(n>=1)``, ``B(n>=2)``, ``D(n>=4)``,
+* ``E6``, ``E7``, ``E8``, ``F4`` (crystallographic),
+* ``H3``, ``H4`` (over Q(sqrt 5)),
 * ``I2(m>=3)``, handled combinatorially (no coordinates needed).
 
-``simple_root_data`` returns, for each vector-realized family, a tuple of
-simple roots, the symmetric bilinear form of the ambient space, and the
-ambient dimension.  All coordinates are exact scalars.
+Every family but the dihedral one is realized the same way: the simple roots
+are the unit vectors, and the bilinear form is their Gram matrix
+``(alpha_i, alpha_j)``, which ``gram_matrix`` builds from the family's
+diagram bonds and root norms (the geometric representation, Humphreys,
+*Reflection Groups and Coxeter Groups*, 5.3).  Every root is then written by
+its exact coefficients on the simple roots.
 """
 from __future__ import annotations
 
@@ -20,14 +23,11 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ParseError
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .scalars import HALF, Scalar
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
-
-#: Families realized by explicit root coordinates (everything but dihedral).
-VECTOR_FAMILIES = frozenset("ABDEFH")
 
 _FACTOR_RE = re.compile(r"([ABDEFH])(\d+)|I2\((\d+)\)")
 
@@ -134,73 +134,37 @@ def census(datum: CoxeterDatum) -> tuple[int, int]:
     return order, nrefl
 
 
-def _unit(i: int, dim: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(dim))
+def gram_matrix(ir: IrreducibleDatum) -> Matrix:
+    """The Gram matrix ``(alpha_i, alpha_j)`` of a vector family's simple
+    roots, from its diagram bonds and root norms.
 
-
-def _diff(i: int, j: int, dim: int) -> Vector:
-    return tuple(
-        _ONE if k == i else (-_ONE if k == j else _ZERO) for k in range(dim)
-    )
-
-
-def _cosine_form(rank: int, edges: dict[tuple[int, int], Scalar]) -> Matrix:
-    """The symmetric form with 1 on the diagonal and ``-cos(pi/m_ij)`` values
-    supplied for bonded pairs (zero elsewhere)."""
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            if i == j:
-                row.append(_ONE)
-            else:
-                key = (min(i, j), max(i, j))
-                row.append(-edges.get(key, _ZERO))
-        rows.append(tuple(row))
-    return Matrix(tuple(rows))
-
-
-def simple_root_data(ir: IrreducibleDatum) -> tuple[list[Vector], Matrix, int]:
-    """Simple roots, bilinear form and ambient dimension for a vector family."""
+    Long roots have norm 2 and short roots norm 1; all of H's roots are
+    short.  Bonded roots of norms ``a`` and ``b`` whose reflections have
+    product of order ``m`` meet in ``-sqrt(a*b)*cos(pi/m)``.  For every
+    bond of A, B, D, E and F that is ``-max(a, b)/2``: ``-1`` between long
+    roots and across the double bond of B and F, ``-1/2`` between short
+    roots.  H's simple bonds are ``-1/2`` too, and its five-fold bond is
+    ``-cos(pi/5)``.
+    """
     family, n = ir.family, ir.rank
-    if family == "A":
-        dim = n + 1
-        return [_diff(i, i + 1, dim) for i in range(n)], Matrix.identity(dim), dim
-    if family == "B":
-        simples = [_diff(i, i + 1, n) for i in range(n - 1)] + [_unit(n - 1, n)]
-        return simples, Matrix.identity(n), n
+    bonds = [(k, k + 1) for k in range(n - 1)]
     if family == "D":
-        simples = [_diff(i, i + 1, n) for i in range(n - 1)]
-        plus = tuple(
-            _ONE if k in (n - 2, n - 1) else _ZERO for k in range(n)
-        )
-        return simples + [plus], Matrix.identity(n), n
-    if family == "F":
-        half = HALF
-        simples = [
-            _diff(1, 2, 4),
-            _diff(2, 3, 4),
-            _unit(3, 4),
-            (half, -half, -half, -half),
-        ]
-        return simples, Matrix.identity(4), 4
-    if family == "E":
-        dim = 8
-        half = HALF
-        alpha1 = tuple(
-            half if k in (0, 7) else -half for k in range(dim)
-        )
-        alpha2 = tuple(
-            _ONE if k in (0, 1) else _ZERO for k in range(dim)
-        )
-        simples = [alpha1, alpha2]
-        simples += [_diff(k - 2, k - 3, dim) for k in range(3, n + 1)]
-        return simples, Matrix.identity(dim), dim
+        bonds[-1] = (n - 3, n - 1)
+    elif family == "E":
+        bonds = [(0, 2), (1, 3)] + bonds[2:]
+    elif family not in ("A", "B", "F", "H"):
+        raise ValueError(f"no vector realization for family {family!r}")
+    norms = [_ONE if family == "H" else Scalar.from_int(2)] * n
+    if family == "B":
+        norms[-1] = _ONE
+    elif family == "F":
+        norms[2:] = [_ONE, _ONE]
+    entries = {(i, i): a for i, a in enumerate(norms)}
+    for i, j in bonds:
+        entries[i, j] = entries[j, i] = -max(norms[i], norms[j]) * HALF
     if family == "H":
         cos_pi_5 = Scalar(Fraction(1, 4), Fraction(1, 4))  # (1 + sqrt5)/4
-        edges = {(0, 1): cos_pi_5, (1, 2): HALF}
-        if n == 4:
-            edges[(2, 3)] = HALF
-        form = _cosine_form(n, edges)
-        return [_unit(i, n) for i in range(n)], form, n
-    raise ValueError(f"no vector realization for family {family!r}")
+        entries[0, 1] = entries[1, 0] = -cos_pi_5
+    return Matrix(
+        tuple(tuple(entries.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+    )

@@ -155,10 +155,13 @@ class Scalar:
         m = _TEXT_RE.match(text)
         if m is None:
             raise ParseError(text, "expected p/q or p/q+r/s*sqrt5")
-        a = Fraction(int(m["an"]), int(m["ad"]))
+        ad, bd = int(m["ad"]), int(m["bd"] or 1)
+        if ad == 0 or bd == 0:
+            raise ParseError(text, "zero denominator")
+        a = Fraction(int(m["an"]), ad)
         b = Fraction(0)
         if m["sign"] is not None:
-            b = Fraction(int(m["bn"]), int(m["bd"]))
+            b = Fraction(int(m["bn"]), bd)
             if m["sign"] == "-":
                 b = -b
         return Scalar(a, b)
@@ -171,7 +174,7 @@ _ZERO = Scalar()
 _ONE = Scalar(1)
 _SQRT5 = Scalar(0, 1)
 
-#: One half, handy for half-integral root coordinates.
+#: One half, the cosine of pi/3 that a simple bond carries in a Gram matrix.
 HALF = Scalar(Fraction(1, 2))
 
 #: The golden ratio (1 + sqrt 5)/2, the fundamental unit of the field.

@@ -40,6 +40,7 @@ from coxorbits.absorder import (
 from coxorbits.budget import Budget
 from coxorbits.errors import CapExceeded, GroupMismatch
 from coxorbits.hurwitz import enumerate_factorizations
+from coxorbits.scalars import Scalar
 
 
 def coxeter_element(w):
@@ -195,12 +196,15 @@ def test_coordinate_flips_of_b3_not_parabolic():
             if u != t
         )
     ]
-    # no reflection commutes with everything in B3; build the flip group by roots
+    # no reflection commutes with everything in B3; build the flip group by
+    # roots: the coordinate flips e_i are B3's short roots, of norm 1
     f = b3.factors[0]
+
+    def norm(v):
+        return sum((a * b for a, b in zip(v, f.form.apply(v))), Scalar.zero())
+
     coord = [
-        t
-        for t in range(f.num_reflections)
-        if sum(1 for c in f.root_vector(t) if c) == 1
+        t for t in range(f.num_reflections) if norm(f.root_vector(t)) == Scalar.one()
     ]
     assert len(coord) == 3
     sub = b3.closure([b3.reflection(t) for t in coord])

@@ -100,6 +100,38 @@ def test_simple_roots_independent_and_seeded_first():
         assert f.roots[: f.rank] == f.simples
 
 
+#: The Coxeter diagrams, written out independently of the Gram matrices:
+#: each bonded pair of simple reflections with the order ``m_ij`` of their
+#: product; every pair not listed commutes (``m_ij = 2``).
+_DIAGRAMS = {
+    "A4": {(0, 1): 3, (1, 2): 3, (2, 3): 3},
+    "B4": {(0, 1): 3, (1, 2): 3, (2, 3): 4},
+    "D5": {(0, 1): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3},
+    "E6": {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3},
+    "E7": {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3},
+    "E8": {
+        (0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+    },
+    "F4": {(0, 1): 3, (1, 2): 4, (2, 3): 3},
+    "H3": {(0, 1): 5, (1, 2): 3},
+    "H4": {(0, 1): 5, (1, 2): 3, (2, 3): 3},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_DIAGRAMS))
+def test_simple_reflections_realize_the_coxeter_diagram(label):
+    f = VectorFactor(parse_datum(label).factors[0])
+    ident = f.identity_comp()
+    for i, j in itertools.combinations(range(f.rank), 2):
+        # the order of s_i s_j, from the root permutations alone
+        prod = f.mult_comp(f.refl_comp(i), f.refl_comp(j))
+        power, order = prod, 1
+        while power != ident:
+            power = f.mult_comp(power, prod)
+            order += 1
+        assert order == _DIAGRAMS[label].get((i, j), 2), (i, j)
+
+
 def test_negation_is_a_root_involution():
     f = VectorFactor(IrreducibleDatum("B", 3))
     for i, n in enumerate(f.neg_of):

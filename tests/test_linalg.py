@@ -101,18 +101,14 @@ def test_kernel_contains_disjoint_reflections():
     assert kernel_contains(swap12, both)
 
 
-def test_solve_square_and_inverse():
+def test_solve_square():
     m = Matrix.from_rows([[Scalar.from_int(2), HALF], [Scalar.one(), Scalar.one()]])
     b = (Scalar.one(), Scalar.zero())
     x = linalg.solve_square(m, b)
     assert m.apply(x) == b
-    inv = linalg.inverse(m)
-    assert inv * m == Matrix.identity(2)
     singular = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         linalg.solve_square(singular, b)
-    with pytest.raises(ValueError):
-        linalg.inverse(singular)
 
 
 def test_non_square_rejected():

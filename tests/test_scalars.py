@@ -89,7 +89,18 @@ def test_text_forms():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "sqrt5", "1", "1/2+sqrt5", "1/2+1/3sqrt5", "x/y", "1/2 + 1/3*sqrt5 extra"]
+    "bad",
+    [
+        "",
+        "sqrt5",
+        "1",
+        "1/2+sqrt5",
+        "1/2+1/3sqrt5",
+        "x/y",
+        "1/2 + 1/3*sqrt5 extra",
+        "1/0",
+        "1/2+1/0*sqrt5",
+    ],
 )
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
