@@ -32,11 +32,12 @@ same fixed space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from .budget import Budget
 from .errors import GroupMismatch
-from .groups import CoxeterGroup, GroupElement, Subgroup
+from .groups import CoxeterGroup, GroupElement, Subgroup, breadth_first
 
 
 def reflection_length(g: GroupElement) -> int:
@@ -113,7 +114,8 @@ def factorizations(
     keeps the parity of the remaining slots, and a completion exists exactly
     when it fits.  With one slot left the quotient is a reflection, which is
     the last factor.  Nothing is yielded when ``length < l(g)`` or
-    ``length - l(g)`` is odd.
+    ``length - l(g)`` is odd.  The walk is depth first over paths, not
+    states, so it does not run on ``groups.breadth_first``.
     """
     w = g.group
     lengths = length_table(w)
@@ -258,16 +260,11 @@ def _below_quasi_coxeter_ids(w: CoxeterGroup) -> frozenset[int]:
         lengths = length_table(w)
         mult = w.refl_mult_table
         ids = w.element_ids()
-        seen = {ids[c.comps] for c in quasi_coxeter_elements(w)}
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for row in mult:
-                x = row[q]
-                if lengths[x] == lengths[q] - 1 and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        w._cache["below_qc"] = frozenset(seen)
+        tops = [ids[c.comps] for c in quasi_coxeter_elements(w)]
+        layers = breadth_first(set(), tops, lambda layer: (
+            row[q] for q in layer for row in mult if lengths[row[q]] == lengths[q] - 1
+        ))
+        w._cache["below_qc"] = frozenset(chain.from_iterable(layers))
     return w._cache["below_qc"]
 
 

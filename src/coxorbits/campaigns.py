@@ -20,7 +20,9 @@ from typing import Callable
 from . import absorder, gensets, hurwitz
 from .budget import Budget
 from .errors import CapExceeded, TypeMismatch
-from .groups import CoxeterGroup, DihedralFactor, GroupElement, build_group
+from .groups import (
+    CoxeterGroup, DihedralFactor, GroupElement, breadth_first, build_group
+)
 
 CAMPAIGN_NAMES = (
     "carter",
@@ -61,7 +63,10 @@ class CampaignConfig:
             if value is not None and value <= 0:
                 raise ValueError(f"{cap} must be positive, got {value}")
         # a factorization's excess over the reflection length is even, so
-        # an odd offset has no factorizations and its items would pass empty
+        # an odd offset has no factorizations and its items would pass empty;
+        # a repeated offset repeats its records, and no offset passes no items
+        if not self.offsets or len(set(self.offsets)) < len(self.offsets):
+            raise ValueError(f"offsets must be nonempty and distinct, got {self.offsets}")
         for offset in self.offsets:
             if offset < 0 or offset % 2:
                 raise ValueError(f"offsets must be even and nonnegative, got {offset}")
@@ -161,24 +166,15 @@ def golden_diff(report_text: str, golden_text: str) -> str | None:
 def _bfs_lengths(w: CoxeterGroup) -> list[int]:
     """Cayley-graph distances from the identity over the reflection
     generators, independent of the rank-based length formula."""
-    elems = w.elements()
     table = w.refl_mult_table
-    ids = w.element_ids()
-    dist = [-1] * len(elems)
-    start = ids[w.identity.comps]
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        new = []
-        for e in frontier:
-            for row in table:
-                x = row[e]
-                if dist[x] < 0:
-                    dist[x] = d
-                    new.append(x)
-        frontier = new
+    dist = [-1] * len(w.elements())
+    start = w.element_ids()[w.identity.comps]
+    layers = breadth_first(set(), [start], lambda layer: (
+        row[e] for e in layer for row in table
+    ))
+    for d, layer in enumerate(layers):
+        for e in layer:
+            dist[e] = d
     return dist
 
 

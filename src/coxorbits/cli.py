@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--offsets",
         type=_parse_offsets,
         default=(0, 2),
-        help="comma-separated even, nonnegative length offsets above the "
+        help="comma-separated distinct, even, nonnegative length offsets above the "
         "reflection length (campaigns: conjecture, lr-normal-form); default 0,2",
     )
     p.add_argument(

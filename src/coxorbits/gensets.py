@@ -33,7 +33,9 @@ from .errors import (
     NotGenerating,
     TypeMismatch,
 )
-from .groups import CoxeterGroup, DihedralFactor, GroupElement, VectorFactor
+from .groups import (
+    CoxeterGroup, DihedralFactor, GroupElement, VectorFactor, breadth_first
+)
 
 
 # -- generic analysis ------------------------------------------------------
@@ -103,6 +105,12 @@ def conjugacy_orbit_reps(
     lexicographically least members of their orbits."""
     conj = w.refl_conj_table
     simples = w.simple_reflection_ids
+
+    def images(layer):
+        return (frozenset(conj[t][s] for t in sub) for sub in layer for s in simples)
+
+    # orbits are disjoint, so one seen set serves every search: a seed not
+    # yet visited reaches only its own, unvisited, orbit
     visited: set[frozenset[int]] = set()
     for seed in itertools.combinations(range(w.num_reflections), size):
         fseed = frozenset(seed)
@@ -110,19 +118,7 @@ def conjugacy_orbit_reps(
             continue
         if budget is not None:
             budget.charge("max_tuples")
-        orbit = {fseed}
-        frontier = [fseed]
-        while frontier:
-            new = []
-            for sub in frontier:
-                for s in simples:
-                    image = frozenset(conj[t][s] for t in sub)
-                    if image not in orbit:
-                        orbit.add(image)
-                        new.append(image)
-            frontier = new
-        visited.update(orbit)
-        yield seed, len(orbit)
+        yield seed, sum(map(len, breadth_first(visited, [fseed], images)))
 
 
 @dataclass(frozen=True)
@@ -444,7 +440,8 @@ def _spanning_forest(
     """One depth-first pass over the non-loop edges: the edges of a spanning
     forest, each vertex's parity (the number of negative edges on its tree
     path from its component's least vertex, mod 2), and the number of
-    components."""
+    components.  It records tree edges and parities, not just the vertices
+    reached, so it keeps its own loop instead of ``groups.breadth_first``."""
     adj: list[list[tuple[int, tuple[int, int, int]]]] = [[] for _ in range(graph.n)]
     for edge in graph.edges:
         i, j, _ = edge

@@ -9,6 +9,10 @@ Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
 element of a product holds one component per factor.  All fixed-space
 geometry runs on one span routine per factor kind (see ``_Factor``).
 
+Closures that need only the states they reach run on one layered search,
+:func:`breadth_first`: the root system, element closures, conjugacy classes,
+and other modules' searches over reflection subsets and element ids.
+
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
 content-addressed keys of subgroups.  Python's salted ``hash`` is never used
@@ -23,7 +27,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import roots
 from .errors import (
@@ -44,6 +49,27 @@ _TWO = Scalar.from_int(2)
 
 #: One component of an element: a root permutation, or a (rotation, flip) pair.
 Comp = Union[tuple[int, ...], tuple[int, int]]
+
+
+def breadth_first(
+    seen: set, layer: list, expand: Callable[[list], Iterable]
+) -> Iterator[list]:
+    """Breadth-first search, lazily, one layer at a time.
+
+    Yields ``layer``, then each next layer: the states ``expand(layer)``
+    returns that ``seen`` does not hold yet, each once, in the order given.
+    Every state reached, seeds included, joins the caller-owned ``seen``.
+    A layer is yielded before it is expanded.  ``expand`` takes a whole
+    layer, so a candidate costs a set probe and no call."""
+    seen.update(layer)
+    while layer:
+        yield layer
+        new = []
+        for x in expand(layer):
+            if x not in seen:
+                seen.add(x)
+                new.append(x)
+        layer = new
 
 
 def _dot(u: Vector, v: Vector) -> Scalar:
@@ -112,19 +138,12 @@ class VectorFactor(_Factor):
         return vec_scale(_TWO / _dot(alpha, f_alpha), f_alpha)
 
     def _close(self, simples: Sequence[Vector]) -> tuple[Vector, ...]:
+        """The roots, in discovery order from the simple roots."""
         pairs = [(alpha, self._coroot(alpha)) for alpha in simples]
-        found: dict[Vector, int] = {v: i for i, v in enumerate(simples)}
-        queue = list(simples)
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for alpha, cov in pairs:
-                w = _minus(v, _dot(cov, v), alpha)
-                if w not in found:
-                    found[w] = len(queue)
-                    queue.append(w)
-        return tuple(queue)
+        layers = breadth_first(set(), list(simples), lambda layer: (
+            _minus(v, _dot(cov, v), alpha) for v in layer for alpha, cov in pairs
+        ))
+        return tuple(chain.from_iterable(layers))
 
     def _classify_roots(self) -> None:
         # a root is positive exactly when its height, the sum of its
@@ -416,19 +435,20 @@ class CoxeterGroup:
             f.serialize_comp(c) for f, c in zip(self.factors, comps)
         )
 
-    def element(self, comps: tuple[Comp, ...]) -> GroupElement:
-        return GroupElement(self, comps)
-
     # -- reflections -------------------------------------------------------
 
     def reflection_ids(self) -> range:
         return range(self.num_reflections)
 
+    def check_reflection_ids(self, ids: Iterable[int]) -> None:
+        """Raise ``IndexOutOfRange`` unless each id is in ``[0, n)``."""
+        n = self.num_reflections
+        for t in ids:
+            if not 0 <= t < n:
+                raise IndexOutOfRange(f"reflection index {t} not in [0, {n})")
+
     def reflection(self, t: int) -> GroupElement:
-        if not 0 <= t < self.num_reflections:
-            raise IndexOutOfRange(
-                f"reflection index {t} not in [0, {self.num_reflections})"
-            )
+        self.check_reflection_ids((t,))
         fi, local = self._locate[t]
         comps = list(self.identity.comps)
         comps[fi] = self.factors[fi].refl_comp(local)
@@ -436,6 +456,7 @@ class CoxeterGroup:
 
     def locate_reflection(self, t: int) -> tuple[int, int]:
         """Global reflection id -> (factor index, local id)."""
+        self.check_reflection_ids((t,))
         return self._locate[t]
 
     def global_reflection_id(self, fi: int, local: int) -> int:
@@ -450,6 +471,7 @@ class CoxeterGroup:
 
     def conj_refl(self, a: int, b: int) -> int:
         """Global id of ``t_b t_a t_b``."""
+        self.check_reflection_ids((a, b))
         fa, la = self._locate[a]
         fb, lb = self._locate[b]
         if fa != fb:
@@ -491,13 +513,14 @@ class CoxeterGroup:
         subgroup carries a sign character, so every generating set meets
         every class, and each reflection of the subgroup is a conjugate of
         a generator (Dyer, *Reflection subgroups of Coxeter systems*, 1990).
+
+        Not run on :func:`breadth_first`: the generation test makes tens of
+        thousands of these few-microsecond calls, which the primitive made
+        half again as slow, and the element-closure oracle stays independent.
         """
         seeds = tuple(seeds)
         gens = seeds if gens is None else tuple(gens)
-        n = self.num_reflections
-        for t in seeds + gens:
-            if not 0 <= t < n:
-                raise IndexOutOfRange(f"reflection index {t} not in [0, {n})")
+        self.check_reflection_ids(seeds + gens)
         table = self.refl_conj_table
         orbit = set(seeds)
         frontier = list(orbit)
@@ -577,22 +600,13 @@ class CoxeterGroup:
     def _closure_comps(
         self, gen_comps: list[tuple[Comp, ...]], limit: int
     ) -> set[tuple[Comp, ...]]:
-        seen = {self.identity.comps}
-        seen.update(gen_comps)
-        if len(seen) > limit:
-            raise CapExceeded("max_elements", limit)
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in gen_comps:
-                    h = self.multiply_comps(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        new.append(h)
+        seen: set[tuple[Comp, ...]] = set()
+        start = list({self.identity.comps, *gen_comps})
+        for _ in breadth_first(seen, start, lambda layer: (
+            self.multiply_comps(g, s) for g in layer for s in gen_comps
+        )):
             if len(seen) > limit:
                 raise CapExceeded("max_elements", limit)
-            frontier = new
         return seen
 
     def generates_whole(self, refl_ids: Iterable[int]) -> bool:
@@ -616,19 +630,11 @@ class CoxeterGroup:
                     f"{h!r} is not in the subgroup"
                 )
             gens = list(sub.generators)
-        orbit = {h}
-        frontier = [h]
         gen_pairs = [(g, g.inverse()) for g in gens]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, ginv in gen_pairs:
-                    y = g * x * ginv
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(orbit)
+        layers = breadth_first(set(), [h], lambda layer: (
+            g * x * ginv for x in layer for g, ginv in gen_pairs
+        ))
+        return frozenset(chain.from_iterable(layers))
 
     def subgroup_key(self, elements: Iterable[GroupElement]) -> str:
         """Content-addressed key: SHA-256 over sorted element serializations."""

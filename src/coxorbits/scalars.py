@@ -93,9 +93,6 @@ class Scalar:
     def __neg__(self) -> Scalar:
         return Scalar(-self.a, -self.b)
 
-    def __abs__(self) -> Scalar:
-        return -self if self.sign() < 0 else self
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 

@@ -22,7 +22,8 @@ def group():
 def bfs_length_table(label: str) -> tuple[int, ...]:
     """Independent reflection-length oracle: breadth-first distance from the
     identity in the Cayley graph over the full reflection set.  Shares no
-    logic with the geometric (fixed-space codimension) route."""
+    logic with the geometric (fixed-space codimension) route, nor with the
+    package's ``breadth_first`` search, so its loop is written out here."""
     w = cached_group(label)
     ids = w.element_ids()
     mult = w.refl_mult_table

@@ -39,7 +39,7 @@ def test_config_validation():
         CampaignConfig(group="A2", campaign="everything")
     with pytest.raises(ValueError):
         CampaignConfig(group="A2", campaign="carter", max_tuples=0)
-    for offsets in [(1,), (0, 3), (-2,)]:
+    for offsets in [(1,), (0, 3), (-2,), (0, 0), ()]:
         with pytest.raises(ValueError):
             CampaignConfig(group="A2", campaign="conjecture", offsets=offsets)
 

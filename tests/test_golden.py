@@ -1,6 +1,6 @@
-"""Golden gate: each stored report under ``perfbench/golden`` is rebuilt
-from the config in its header and must match byte for byte, timestamps
-aside."""
+"""Golden gate: each stored report under ``perfbench/golden`` and
+``tests/golden`` is rebuilt from the config in its header and must match
+byte for byte, timestamps aside."""
 import json
 from pathlib import Path
 
@@ -8,12 +8,14 @@ import pytest
 
 from coxorbits.campaigns import CampaignConfig, golden_diff, run_campaign
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
-REPORTS = sorted(GOLDEN.glob("*.jsonl"))
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIRS = (ROOT / "perfbench" / "golden", ROOT / "tests" / "golden")
+REPORTS = sorted(p for d in GOLDEN_DIRS for p in d.glob("*.jsonl"))
 
 
 def test_golden_reports_exist():
-    assert REPORTS
+    for golden_dir in GOLDEN_DIRS:
+        assert list(golden_dir.glob("*.jsonl")), golden_dir
 
 
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)

@@ -17,7 +17,7 @@ from coxorbits.errors import (
     ParseError,
     UnsupportedType,
 )
-from coxorbits.groups import CoxeterGroup, VectorFactor
+from coxorbits.groups import CoxeterGroup, VectorFactor, breadth_first
 from coxorbits.linalg import Matrix, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
 
@@ -340,6 +340,64 @@ def test_reflection_closure_matches_element_closure_sampled_h3():
         assert w.generates_whole(ids) == sub.is_whole_group
 
 
+# -- the breadth-first primitive ---------------------------------------------
+
+# b and c both lead to d, and d and e both lead to f, so a layer's expansion
+# repeats states; g is unreachable from a
+GRAPH = {
+    "a": ["b", "c"],
+    "b": ["d", "a"],
+    "c": ["d", "e"],
+    "d": ["f"],
+    "e": ["f", "c"],
+    "f": [],
+    "g": ["a"],
+}
+
+
+def _search(seen, seeds):
+    calls = []
+
+    def expand(layer):
+        calls.append(list(layer))
+        return (y for x in layer for y in GRAPH[x])
+
+    return breadth_first(seen, seeds, expand), calls
+
+
+def test_breadth_first_layers():
+    seen = set()
+    layers, calls = _search(seen, ["a"])
+    assert list(layers) == [["a"], ["b", "c"], ["d", "e"], ["f"]]
+    assert seen == {"a", "b", "c", "d", "e", "f"}
+    # one expand call per layer, the last of which finds nothing new
+    assert calls == [["a"], ["b", "c"], ["d", "e"], ["f"]]
+
+
+def test_breadth_first_seeds_first_in_given_order():
+    seen = set()
+    layers, _ = _search(seen, ["c", "a"])
+    got = list(layers)
+    assert got == [["c", "a"], ["d", "e", "b"], ["f"]]
+    flat = [x for layer in got for x in layer]
+    assert len(flat) == len(set(flat)) == len(seen)
+
+
+def test_breadth_first_skips_states_already_seen():
+    seen = {"d"}
+    layers, _ = _search(seen, ["a"])
+    assert list(layers) == [["a"], ["b", "c"], ["e"], ["f"]]
+    assert seen == {"a", "b", "c", "d", "e", "f"}
+
+
+def test_breadth_first_is_lazy():
+    layers, calls = _search(set(), ["a"])
+    assert next(layers) == ["a"]
+    assert calls == []
+    assert next(layers) == ["b", "c"]
+    assert calls == [["a"]]
+
+
 def test_reflection_closure_rejects_bad_ids():
     w = build_group("B3")
     for bad in (-1, w.num_reflections):
@@ -347,6 +405,12 @@ def test_reflection_closure_rejects_bad_ids():
             w.generates_whole([bad])
         with pytest.raises(IndexOutOfRange):
             w.reflection_closure([0], [bad])
+        with pytest.raises(IndexOutOfRange):
+            w.conj_refl(bad, 0)
+        with pytest.raises(IndexOutOfRange):
+            w.conj_refl(0, bad)
+        with pytest.raises(IndexOutOfRange):
+            w.locate_reflection(bad)
 
 
 def test_closure_cap_raises():
