@@ -16,9 +16,12 @@ the length by one.  ``absolute_leq`` keeps the geometric definition, which
 needs no element table.
 
 Every factorization search is one lazy walk over ``refl_mult_table``
-(:func:`factorizations`): reduced factorizations, factorizations of a fixed
-length, and the full reflection length, which is the first length at which
-some factorization's reflection set generates W.
+(:func:`factorization_codes`): reduced factorizations, factorizations of a
+fixed length, and the full reflection length, which is the first length at
+which some factorization's reflection set generates W.  The walk yields
+each factorization as one base-``|T|`` integer (:func:`encode`), which the
+Hurwitz orbit walks consume directly; :func:`factorizations` is its tuple
+view.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -102,20 +105,43 @@ def is_parabolic(sub: Subgroup) -> bool:
     return stab == sub
 
 
-def factorizations(
+def encode(factors: tuple[int, ...], n_refl: int) -> int:
+    """The code of a factorization: its factors as the digits of one integer
+    in base ``n_refl``, the first factor most significant.  For a fixed
+    length, integer order is lexicographic order."""
+    code = 0
+    for t in factors:
+        code = code * n_refl + t
+    return code
+
+
+def decode(code: int, length: int, n_refl: int) -> tuple[int, ...]:
+    """The factorization with ``length`` factors whose code is ``code``."""
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, out[i] = divmod(code, n_refl)
+    return tuple(out)
+
+
+def factorization_codes(
     g: GroupElement, length: int | None = None, budget: Budget | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The reflection factorizations of ``g`` with ``length`` factors
-    (default: its reflection length), lazily, in lexicographic order of the
-    global reflection indices.
+) -> Iterator[int]:
+    """The codes (see :func:`encode`) of the reflection factorizations of
+    ``g`` with ``length`` factors (default: its reflection length), lazily,
+    in increasing order.
 
     A step ``q -> t q`` is kept exactly when ``l(t q) < remaining``: a
     reflection changes reflection length by one, so the quotient's length
     keeps the parity of the remaining slots, and a completion exists exactly
     when it fits.  With one slot left the quotient is a reflection, which is
-    the last factor.  Nothing is yielded when ``length < l(g)`` or
-    ``length - l(g)`` is odd.  The walk is depth first over paths, not
-    states, so it does not run on ``groups.breadth_first``.
+    the last factor, so the last two slots of a quotient ``q`` are the
+    two-digit codes of the ``t`` with ``l(t q) = 1``, listed once per ``q``.
+    Nothing is yielded when ``length < l(g)`` or ``length - l(g)`` is odd.
+
+    The walk is depth first over paths, not states, so it does not run on
+    ``groups.breadth_first``; an explicit stack keeps it free of a
+    generator frame per node.  Each node and each leaf charges
+    ``max_tuples`` with ``|T|``, in depth-first order.
     """
     w = g.group
     lengths = length_table(w)
@@ -127,26 +153,54 @@ def factorizations(
     if n < lengths[start] or (n - lengths[start]) % 2:
         return
     if n == 0:  # only the identity has a factorization of length 0
-        yield ()
+        yield 0
         return
     identity = ids[w.identity.comps]
     reflection_of = {mult[t][identity]: t for t in range(n_refl)}
-    prefix: list[int] = []
-
-    def walk(q: int, remaining: int) -> Iterator[tuple[int, ...]]:
+    if n == 1:
         if budget is not None:
             budget.charge("max_tuples", n_refl)
-        if remaining == 1:
-            yield (*prefix, reflection_of[q])
-            return
-        for t in range(n_refl):
-            nq = mult[t][q]
-            if lengths[nq] < remaining:
-                prefix.append(t)
-                yield from walk(nq, remaining - 1)
-                prefix.pop()
+        yield reflection_of[start]
+        return
+    square = n_refl * n_refl
+    pairs: dict[int, list[int]] = {}
+    stack = [(start, n, 0)]
+    while stack:
+        q, remaining, code = stack.pop()
+        if budget is not None:
+            budget.charge("max_tuples", n_refl)
+        if remaining > 2:
+            stack.extend(
+                (nq, remaining - 1, code * n_refl + t)
+                for t in range(n_refl - 1, -1, -1)
+                if lengths[nq := mult[t][q]] < remaining
+            )
+            continue
+        if q not in pairs:
+            pairs[q] = [
+                t * n_refl + reflection_of[mult[t][q]]
+                for t in range(n_refl)
+                if lengths[mult[t][q]] == 1
+            ]
+        code *= square
+        for pair in pairs[q]:
+            if budget is not None:
+                budget.charge("max_tuples", n_refl)
+            yield code + pair
 
-    yield from walk(start, n)
+
+def factorizations(
+    g: GroupElement, length: int | None = None, budget: Budget | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The reflection factorizations of ``g`` with ``length`` factors
+    (default: its reflection length) as tuples of global reflection ids,
+    lazily, in lexicographic order: :func:`factorization_codes`, decoded."""
+    w = g.group
+    if length is None:
+        length = length_table(w)[w.element_ids()[g.comps]]
+    n_refl = w.num_reflections
+    for code in factorization_codes(g, length, budget):
+        yield decode(code, length, n_refl)
 
 
 def reduced_factorizations(

@@ -9,16 +9,23 @@ and its inverse conjugates the other way.  Both preserve the product, the
 multiset-span and the generated subgroup, so orbit walks can stay inside the
 set of factorizations of one element.
 
-The engine works on plain index tuples against a precomputed reflection
-conjugation table, so a move is two table lookups and a slice.  Orbits are
-walked breadth-first using left moves only: on a finite set the monoid
-generated by bijections is the group they generate, so inverse moves reach
-nothing new.
+The public API speaks in tuples; the engine works on codes, each
+factorization one integer in base ``N = |T|`` with the first factor most
+significant (:func:`~coxorbits.absorder.encode`), so integer order is
+lexicographic order.  A left move at position ``i`` reads the pair
+``(a, b)`` as one base-``N**2`` digit and adds a per-group table entry times
+that digit's place value, with no tuple built.  Orbits are walked
+breadth-first using left moves only: on a finite set the monoid generated by
+bijections is the group they generate, so inverse moves reach nothing new.
+Left normal shape is a digit test too: the leading digits must be doubled
+pairs ``a N + a``.
 
-A partition is one lazy pass over :func:`~coxorbits.absorder.factorizations`:
-each factorization not yet in an orbit seeds the walk of its own orbit and,
-arriving in lexicographic order, is that orbit's least member.  No copy of
-the ground set is kept; one count at the end checks that orbits cover it.
+A partition is one lazy pass over
+:func:`~coxorbits.absorder.factorization_codes`: each code not yet in an
+orbit seeds the walk of its own orbit and, arriving in increasing order, is
+that orbit's least member.  No copy of the ground set is kept; one count at
+the end checks that orbits cover it.  Only representatives and witnesses
+are decoded.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -29,10 +36,12 @@ campaigns measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .absorder import (
-    factorizations,
+    decode,
+    encode,
+    factorization_codes,
     full_reflection_length,
     generation_memo,
     length_table,
@@ -132,57 +141,107 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
     )
 
 
-def _doubled_pairs_lead(t: tuple[int, ...], base_length: int) -> bool:
-    """Whether the first ``len(t) - base_length`` factors of ``t`` are
-    doubled pairs (the excess must be even)."""
-    excess = len(t) - base_length
-    if excess % 2:
-        return False
-    return all(t[2 * k] == t[2 * k + 1] for k in range(excess // 2))
+def _move_deltas(w: CoxeterGroup) -> list[int]:
+    """What a left move adds to a pair's two-digit code (cached per group):
+    ``(a, b) -> (b, b a b)`` adds ``(b - a) N + (conj[a][b] - b)`` to
+    ``a N + b``, where ``N = |T|``."""
+    if "move_deltas" not in w._cache:
+        conj = w.refl_conj_table
+        n_refl = w.num_reflections
+        w._cache["move_deltas"] = [
+            (b - a) * n_refl + conj[a][b] - b
+            for a in range(n_refl)
+            for b in range(n_refl)
+        ]
+    return w._cache["move_deltas"]
+
+
+def _lr_shape(
+    n_refl: int, length: int, base_length: int
+) -> Callable[[int], bool] | None:
+    """The left-normal-shape test on codes of ``length`` factors whose
+    product has reflection length ``base_length``: the leading
+    ``length - base_length`` digits are doubled pairs, that is, each
+    base-``N**2`` digit of ``code // N**base_length`` is ``a N + a``, a
+    multiple of ``N + 1``.  ``None`` when the excess is odd or negative,
+    since then no member has the shape."""
+    excess = length - base_length
+    if excess < 0 or excess % 2:
+        return None
+    scale = n_refl**base_length
+    square = n_refl * n_refl
+    double = n_refl + 1
+
+    def doubled_lead(code: int) -> bool:
+        prefix = code // scale
+        while prefix:
+            prefix, pair = divmod(prefix, square)
+            if pair % double:
+                return False
+        return True
+
+    return doubled_lead
 
 
 def _walk_orbit(
     w: CoxeterGroup,
-    start: tuple[int, ...],
+    start: int,
+    length: int,
     budget: Budget | None,
-    base_length: int | None,
-) -> tuple[set[tuple[int, ...]], tuple[int, ...] | None]:
-    """Breadth-first orbit of one factorization under left moves.
+    in_shape: Callable[[int], bool] | None,
+) -> tuple[set[int], int | None]:
+    """Breadth-first orbit of one coded factorization (see
+    :func:`~coxorbits.absorder.encode`) of ``length`` factors under left
+    moves.
 
-    Returns the orbit set and the first member found in left normal shape
-    (``None`` when ``base_length`` is ``None`` or no member has the shape).
+    Returns the orbit's codes and the first member found that passes
+    ``in_shape`` (``None`` when ``in_shape`` is ``None`` or nothing passes).
+    A left move at position ``i`` reads the pair ``c // s_i % N**2`` with
+    ``s_i = N**(length - 2 - i)`` and adds its move delta times ``s_i``.
 
-    The innermost loop of the partition campaigns, so not run on
-    ``groups.breadth_first``: on it the ``orbits`` benchmark ran 4 % slower
-    end to end and 8 % slower at the 90th-percentile item.
+    The innermost loop of the partition campaigns, so written out rather
+    than run on ``groups.breadth_first``: that primitive calls ``expand``
+    on each layer and rebuilds the layer as a list of the states not seen,
+    while here the seen test, the layer list and the shape test share one
+    pass over the moves (on the primitive, with tuple states, the
+    ``orbits`` benchmark ran 4 % slower end to end and 8 % slower at the
+    90th-percentile item).
     """
-    conj = w.refl_conj_table
-    n = len(start)
-    positions = range(n - 1)
-    shape_witness = None
-
-    def in_shape(t: tuple[int, ...]) -> bool:
-        return base_length is not None and _doubled_pairs_lead(t, base_length)
-
+    delta = _move_deltas(w)
+    n_refl = w.num_reflections
+    square = n_refl * n_refl
+    scales = [n_refl ** (length - 2 - i) for i in range(length - 1)]
+    witness = start if in_shape is not None and in_shape(start) else None
+    looking = in_shape is not None and witness is None
     seen = {start}
-    if in_shape(start):
-        shape_witness = start
+    add = seen.add
     frontier = [start]
     while frontier:
         if budget is not None:
             budget.charge("max_states", len(frontier))
         new = []
-        for t in frontier:
-            for i in positions:
-                a, b = t[i], t[i + 1]
-                nt = t[:i] + (b, conj[a][b]) + t[i + 2 :]
-                if nt not in seen:
-                    seen.add(nt)
-                    new.append(nt)
-                    if shape_witness is None and in_shape(nt):
-                        shape_witness = nt
+        push = new.append
+        for c in frontier:
+            for s in scales:
+                nc = c + delta[c // s % square] * s
+                if nc not in seen:
+                    add(nc)
+                    push(nc)
+                    if looking and in_shape(nc):
+                        witness, looking = nc, False
         frontier = new
-    return seen, shape_witness
+    return seen, witness
+
+
+def _walk_factorization(
+    fact: Factorization, budget: Budget | None
+) -> tuple[set[int], tuple[int, ...] | None]:
+    """:func:`_walk_orbit` from ``fact`` with the left-normal-shape test for
+    its product: the orbit's codes and the decoded witness."""
+    w, n, n_refl = fact.group, len(fact), fact.group.num_reflections
+    in_shape = _lr_shape(n_refl, n, reflection_length(fact.product()))
+    seen, witness = _walk_orbit(w, encode(fact.factors, n_refl), n, budget, in_shape)
+    return seen, None if witness is None else decode(witness, n, n_refl)
 
 
 def hurwitz_orbit(
@@ -192,10 +251,10 @@ def hurwitz_orbit(
     """The full orbit through ``fact``, with representative, size, invariant
     and a left-normal-shape witness when one exists."""
     w = fact.group
-    base = reflection_length(fact.product())
-    seen, witness = _walk_orbit(w, fact.factors, budget, base)
+    seen, witness = _walk_factorization(fact, budget)
+    least = decode(min(seen), len(fact), w.num_reflections)
     return HurwitzOrbit(
-        representative=Factorization(w, min(seen)),
+        representative=Factorization(w, least),
         size=len(seen),
         invariant=orbit_invariant(w, fact.factors),
         lr_witness=witness,
@@ -204,18 +263,36 @@ def hurwitz_orbit(
 
 def _ground_set(
     g: GroupElement, length: int | None, budget: Budget | None, full_only: bool
-) -> Iterator[tuple[int, ...]]:
-    """The factorizations of ``g`` with ``length`` factors, lazily, in
-    lexicographic order.  With ``full_only`` only those whose factors
-    generate the whole group, and the length defaults to the full reflection
-    length.  A negative length raises :class:`BadFactorization` at once."""
+) -> tuple[int, Iterator[int]]:
+    """The length and the codes of the factorizations of ``g`` with
+    ``length`` factors, lazily, in increasing (lexicographic) order.  With
+    ``full_only`` only those whose factors generate the whole group, and the
+    length defaults to the full reflection length.  A negative length raises
+    :class:`BadFactorization` at once."""
     if length is not None and length < 0:
         raise BadFactorization(f"no factorizations of length {length}")
+    w = g.group
     if not full_only:
-        return factorizations(g, length, budget)
+        if length is None:
+            length = length_table(w)[w.element_ids()[g.comps]]
+        return length, factorization_codes(g, length, budget)
     if length is None:
         length = full_reflection_length(g, budget)
-    return filter(generation_memo(g.group), factorizations(g, length, budget))
+    whole = generation_memo(w)
+    n, n_refl = length, w.num_reflections
+    return n, (
+        code
+        for code in factorization_codes(g, n, budget)
+        if whole(decode(code, n, n_refl))
+    )
+
+
+def _decoded(
+    g: GroupElement, ground: tuple[int, Iterator[int]]
+) -> list[tuple[int, ...]]:
+    n, codes = ground
+    n_refl = g.group.num_reflections
+    return [decode(code, n, n_refl) for code in codes]
 
 
 def enumerate_factorizations(
@@ -228,7 +305,7 @@ def enumerate_factorizations(
     when no factorization of that length exists.  A negative length raises
     :class:`BadFactorization`.
     """
-    return list(_ground_set(g, length, budget, full_only=False))
+    return _decoded(g, _ground_set(g, length, budget, full_only=False))
 
 
 def enumerate_full_factorizations(
@@ -239,7 +316,7 @@ def enumerate_full_factorizations(
     """Factorizations of ``g`` whose factors generate the whole group, at the
     given length (default: the minimum possible, the full reflection
     length)."""
-    return list(_ground_set(g, length, budget, full_only=True))
+    return _decoded(g, _ground_set(g, length, budget, full_only=True))
 
 
 def partition_into_orbits(
@@ -251,32 +328,37 @@ def partition_into_orbits(
     """Partition the factorizations of ``g`` at one length into Hurwitz
     orbits, sorted by their minimal representatives.
 
-    One lazy pass: each factorization that no earlier orbit holds seeds a
-    walk.  Seeds arrive in lexicographic order and orbits are disjoint, so
-    the seed is its orbit's least member and its representative.  Orbits
-    covering more tuples than were enumerated (a walk left the ground set)
-    raise :class:`BadFactorization`, as does a negative length.
+    One lazy pass over the codes: each factorization that no earlier orbit
+    holds seeds a walk.  Seeds arrive in lexicographic order and orbits are
+    disjoint, so the seed is its orbit's least member and its
+    representative; only seeds and witnesses are decoded.  Orbits covering
+    more codes than were enumerated (a walk left the ground set) raise
+    :class:`BadFactorization`, as does a negative length.
 
     With ``full_only`` the ground set is restricted to factorizations whose
     factors generate the whole group; moves never leave that set.
     """
     w = g.group
+    n_refl = w.num_reflections
     base = length_table(w)[w.element_ids()[g.comps]]
-    assigned: set[tuple[int, ...]] = set()
+    n, codes = _ground_set(g, length, budget, full_only)
+    in_shape = _lr_shape(n_refl, n, base)
+    assigned: set[int] = set()
     enumerated = 0
     orbits = []
-    for seed in _ground_set(g, length, budget, full_only):
+    for seed in codes:
         enumerated += 1
         if seed in assigned:
             continue
-        seen, witness = _walk_orbit(w, seed, budget, base)
+        seen, witness = _walk_orbit(w, seed, n, budget, in_shape)
         assigned |= seen
+        rep = decode(seed, n, n_refl)
         orbits.append(
             HurwitzOrbit(
-                representative=Factorization(w, seed),
+                representative=Factorization(w, rep),
                 size=len(seen),
-                invariant=orbit_invariant(w, seed),
-                lr_witness=witness,
+                invariant=orbit_invariant(w, rep),
+                lr_witness=None if witness is None else decode(witness, n, n_refl),
             )
         )
     if len(assigned) != enumerated:
@@ -319,15 +401,19 @@ def verify_conjecture(
 
 
 def _transitive(
-    w: CoxeterGroup, facts: list[tuple[int, ...]], budget: Budget | None
+    w: CoxeterGroup, ground: tuple[int, Iterator[int]], budget: Budget | None
 ) -> bool:
-    """Whether one orbit is all of ``facts``.  Moves keep the product, the
-    length and the generated subgroup, so the orbit of ``facts[0]`` never
-    leaves ``facts`` and its size decides."""
-    if len(facts) <= 1:
+    """Whether one orbit is all of the coded ground set.  Moves keep the
+    product, the length and the generated subgroup, so the orbit of the
+    first code never leaves the ground set and its size decides.  The
+    ground set is counted, not kept."""
+    n, codes = ground
+    first = next(codes, None)
+    total = sum(1 for _ in codes) + (first is not None)
+    if total <= 1:
         return True
-    seen, _ = _walk_orbit(w, facts[0], budget, None)
-    return len(seen) == len(facts)
+    seen, _ = _walk_orbit(w, first, n, budget, None)
+    return len(seen) == total
 
 
 def hurwitz_transitive_on_reduced(
@@ -335,7 +421,7 @@ def hurwitz_transitive_on_reduced(
 ) -> bool:
     """Whether the Hurwitz action is transitive on the reduced reflection
     factorizations of ``g``."""
-    return _transitive(g.group, enumerate_factorizations(g, None, budget), budget)
+    return _transitive(g.group, _ground_set(g, None, budget, False), budget)
 
 
 def hurwitz_transitive_on_min_full(
@@ -343,7 +429,7 @@ def hurwitz_transitive_on_min_full(
 ) -> bool:
     """Whether the Hurwitz action is transitive on the minimum-length full
     reflection factorizations of ``g``."""
-    return _transitive(g.group, enumerate_full_factorizations(g, None, budget), budget)
+    return _transitive(g.group, _ground_set(g, None, budget, True), budget)
 
 
 def find_lr_witness(
@@ -354,17 +440,17 @@ def find_lr_witness(
 
     Raises :class:`ShapeNotFound` if the orbit contains no such member.
     """
-    w = fact.group
-    base = reflection_length(fact.product())
-    _, witness = _walk_orbit(w, fact.factors, budget, base)
+    _, witness = _walk_factorization(fact, budget)
     if witness is None:
         raise ShapeNotFound(
             f"no left-normal-shape member in the orbit of {fact.factors}"
         )
-    return Factorization(w, witness)
+    return Factorization(fact.group, witness)
 
 
 def is_lr_shape(fact: Factorization) -> bool:
     """Whether ``fact`` consists of doubled pairs followed by a reduced
-    factorization of its product."""
-    return _doubled_pairs_lead(fact.factors, reflection_length(fact.product()))
+    factorization of its product: the walk's shape test on its code."""
+    n_refl = fact.group.num_reflections
+    in_shape = _lr_shape(n_refl, len(fact), reflection_length(fact.product()))
+    return in_shape is not None and in_shape(encode(fact.factors, n_refl))

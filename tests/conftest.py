@@ -1,4 +1,3 @@
-import itertools
 from functools import lru_cache
 
 import pytest
@@ -45,19 +44,28 @@ def bfs_length_table(label: str) -> tuple[int, ...]:
     return tuple(dist)
 
 
+@lru_cache(maxsize=2)
+def _brute_products(w, k: int) -> dict:
+    """Every length-k reflection tuple of ``w``, in lexicographic order,
+    bucketed by its product (element multiplication, no pruning)."""
+    refl = [w.reflection(t) for t in w.reflection_ids()]
+    layer = [((), w.identity)]
+    for _ in range(k):
+        layer = [
+            (tup + (t,), prod * r)
+            for tup, prod in layer
+            for t, r in enumerate(refl)
+        ]
+    out: dict = {}
+    for tup, prod in layer:
+        out.setdefault(prod, []).append(tup)
+    return out
+
+
 def brute_reduced_factorizations(g, k: int) -> list[tuple[int, ...]]:
     """Oracle: all length-k reflection tuples multiplying to ``g``, found by
     filtering the full product space (exponential; tiny inputs only)."""
-    w = g.group
-    refl = [w.reflection(t) for t in w.reflection_ids()]
-    out = []
-    for tup in itertools.product(range(w.num_reflections), repeat=k):
-        prod = w.identity
-        for t in tup:
-            prod = prod * refl[t]
-        if prod == g:
-            out.append(tup)
-    return out
+    return list(_brute_products(g.group, k).get(g, []))
 
 
 def fixed_space_codim(m: Matrix) -> int:

@@ -5,6 +5,8 @@ quasi-Coxeter classifiers, checked against independent oracles:
 * reduced factorizations: pruned search vs brute-force product filtering,
 * the factorization walker: empty at impossible lengths, equal to the
   enumeration and to product filtering elsewhere, and lazy under a budget,
+* factorization codes: ``decode`` inverts ``encode``, code order is
+  lexicographic order, and the decoded codes equal product filtering,
 * parabolic closure membership vs fixed-space containment of matrices,
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
@@ -12,6 +14,7 @@ quasi-Coxeter classifiers, checked against independent oracles:
   closure is the whole group.
 """
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,9 @@ from coxorbits import absorder
 from coxorbits.absorder import (
     absolute_leq,
     classify_element,
+    decode,
+    encode,
+    factorization_codes,
     factorizations,
     full_reflection_length,
     is_parabolic,
@@ -299,6 +305,46 @@ def test_factorizations_are_lazy():
     assert first == (0,) * 8
     with pytest.raises(CapExceeded):
         enumerate_factorizations(w.identity, 8, Budget(max_tuples=cap))
+
+
+# -- factorization codes ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.lists(st.integers(0, 11), max_size=8))
+def test_encode_decode_round_trip(n_refl, digits):
+    fact = tuple(d % n_refl for d in digits)
+    code = encode(fact, n_refl)
+    assert 0 <= code < n_refl ** len(fact)
+    assert decode(code, len(fact), n_refl) == fact
+
+
+def test_code_order_is_lexicographic_order():
+    # itertools.product lists tuples in lexicographic order
+    for n_refl, length in ((1, 3), (2, 4), (3, 3), (5, 2), (12, 2)):
+        tuples = itertools.product(range(n_refl), repeat=length)
+        assert [encode(t, n_refl) for t in tuples] == list(range(n_refl**length))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "I2(5)", "A2xI2(5)"])
+def test_factorization_codes_match_brute_force(label):
+    """Decoded codes of every element at lengths 0, 1, 2, ``l``, ``l + 2``
+    and ``l + 4``, which run the one-slot branch and the per-quotient pair
+    lists.  Product filtering visits ``|T|**n`` tuples, so lengths above 6
+    are left out: only A2xI2(5) (``|T| = 8``) loses ``l + 4`` for
+    ``l = 3, 4``."""
+    w = cached_group(label)
+    n_refl = w.num_reflections
+    by_length = defaultdict(list)
+    for g in w.elements():
+        k = reflection_length(g)
+        for n in {0, 1, 2, k, k + 2, k + 4}:
+            if n <= 6:
+                by_length[n].append(g)
+    for n in sorted(by_length):
+        for g in by_length[n]:
+            ours = [decode(c, n, n_refl) for c in factorization_codes(g, n)]
+            assert ours == brute_reduced_factorizations(g, n), (g, n)
 
 
 # -- quasi-Coxeter classification ------------------------------------------

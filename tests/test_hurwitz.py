@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_reduced_factorizations, cached_group
 from coxorbits import hurwitz
-from coxorbits.absorder import is_parabolic_quasi_coxeter, reflection_length
+from coxorbits.absorder import encode, is_parabolic_quasi_coxeter, reflection_length
 from coxorbits.budget import Budget
 from coxorbits.errors import (
     BadFactorization,
@@ -236,6 +236,33 @@ def test_left_only_walk_matches_two_sided_oracle(label, fact):
     assert orbit.representative.factors == min(oracle)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "I2(5)", "A2xA1"])
+def test_orbit_from_every_member_matches_two_sided_oracle(label):
+    """From every factorization of every element at lengths ``l`` and
+    ``l + 2``, the walk on codes finds the oracle orbit's size and least
+    member, and a witness exactly when some member leads with doubled
+    pairs."""
+    w = cached_group(label)
+    for g in w.elements():
+        k = reflection_length(g)
+        for n in (k, k + 2):
+            oracles: dict = {}
+            for fact in enumerate_factorizations(g, n):
+                if fact not in oracles:
+                    members = two_sided_orbit(Factorization(w, fact))
+                    oracles.update(dict.fromkeys(members, members))
+                oracle = oracles[fact]
+                orbit = hurwitz_orbit(Factorization(w, fact))
+                assert orbit.size == len(oracle)
+                assert orbit.representative.factors == min(oracle)
+                shaped = [
+                    m for m in oracle
+                    if all(m[2 * j] == m[2 * j + 1] for j in range((n - k) // 2))
+                ]
+                assert (orbit.lr_witness is None) == (not shaped)
+                assert orbit.lr_witness is None or orbit.lr_witness in shaped
+
+
 def test_invariant_constant_on_orbits():
     w = cached_group("B2")
     for fact in [(0, 1), (0, 1, 2), (0, 0, 1, 2)]:
@@ -243,6 +270,25 @@ def test_invariant_constant_on_orbits():
         inv = orbit_invariant(w, fact)
         for member in two_sided_orbit(f):
             assert orbit_invariant(w, member) == inv
+
+
+def test_factorization_budget_totals_frozen():
+    """The walker charges ``max_tuples`` with ``|T|`` per node and per leaf,
+    and an orbit walk charges ``max_states`` per layer; these totals were
+    recorded from the tuple-based walker and orbit walk before codes."""
+    for label, length, tuples, states in (
+        ("B3", 5, 29250, 2430),
+        ("A3", 5, 5394, 640),
+        ("I2(12)", 6, 3257436, 248832),
+    ):
+        w = cached_group(label)
+        c = coxeter_element(w)
+        spent = Budget()
+        enumerate_factorizations(c, length, spent)
+        assert spent.spent == {"max_tuples": tuples}
+        spent = Budget()
+        partition_into_orbits(c, length, spent)
+        assert spent.spent == {"max_tuples": tuples, "max_states": states}
 
 
 def test_orbit_budget():
@@ -347,7 +393,8 @@ def test_partition_rejects_an_orbit_outside_its_ground_set(monkeypatch):
 
     def escaping_walk(*args):
         seen, witness = walk(*args)
-        return seen | {(0, 0, 0, 0)}, witness  # a factorization of 1
+        # the code of (0, 0, 0, 0), a factorization of 1
+        return seen | {encode((0, 0, 0, 0), w.num_reflections)}, witness
 
     monkeypatch.setattr(hurwitz, "_walk_orbit", escaping_walk)
     with pytest.raises(BadFactorization):
