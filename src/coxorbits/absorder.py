@@ -17,11 +17,11 @@ needs no element table.
 
 Every factorization search is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
-fixed length, and the full reflection length, which is the first length at
-which some factorization's reflection set generates W.  The walk yields
-each factorization as one base-``|T|`` integer (:func:`encode`), which the
-Hurwitz orbit walks consume directly; :func:`factorizations` is its tuple
-view.
+fixed length, and full ones, whose reflection set generates W
+(:func:`full_factorization_codes`, the one filter for them).  The walk
+yields each factorization as one base-``|T|`` integer (:func:`encode`),
+which the Hurwitz orbit walks consume directly; :func:`factorizations` is
+its tuple view.  It alone rejects a negative length, for every view.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .budget import Budget
-from .errors import GroupMismatch
+from .errors import BadFactorization, GroupMismatch
 from .groups import CoxeterGroup, GroupElement, Subgroup, breadth_first
 
 
@@ -136,7 +136,8 @@ def factorization_codes(
     when it fits.  With one slot left the quotient is a reflection, which is
     the last factor, so the last two slots of a quotient ``q`` are the
     two-digit codes of the ``t`` with ``l(t q) = 1``, listed once per ``q``.
-    Nothing is yielded when ``length < l(g)`` or ``length - l(g)`` is odd.
+    Nothing is yielded when ``length < l(g)`` or ``length - l(g)`` is odd,
+    and a negative length raises :class:`BadFactorization`.
 
     The walk is depth first over paths, not states, so it does not run on
     ``groups.breadth_first``; an explicit stack keeps it free of a
@@ -150,6 +151,8 @@ def factorization_codes(
     ids = w.element_ids()
     start = ids[g.comps]
     n = lengths[start] if length is None else length
+    if n < 0:
+        raise BadFactorization(f"no factorizations of length {n}")
     if n < lengths[start] or (n - lengths[start]) % 2:
         return
     if n == 0:  # only the identity has a factorization of length 0
@@ -211,18 +214,21 @@ def reduced_factorizations(
     return factorizations(g, None, budget)
 
 
-def generation_memo(w: CoxeterGroup) -> Callable[[tuple[int, ...]], bool]:
-    """``generates_whole`` on the reflection set of a factorization,
-    memoized by that set for the life of the returned test."""
+def full_factorization_codes(
+    g: GroupElement, length: int, budget: Budget | None = None
+) -> Iterator[int]:
+    """The codes from :func:`factorization_codes` whose reflection set
+    generates W, lazily, in increasing order.  Generation is decided once
+    per reflection set for the life of the call, by ``w.generates_whole``."""
+    w = g.group
+    n_refl = w.num_reflections
     memo: dict[frozenset[int], bool] = {}
-
-    def whole(fact: tuple[int, ...]) -> bool:
-        key = frozenset(fact)
+    for code in factorization_codes(g, length, budget):
+        key = frozenset(decode(code, length, n_refl))
         if key not in memo:
             memo[key] = w.generates_whole(key)
-        return memo[key]
-
-    return whole
+        if memo[key]:
+            yield code
 
 
 @dataclass(frozen=True)
@@ -335,15 +341,15 @@ def full_reflection_length(
     generate the whole group.
 
     Tries the lengths ``l(g), l(g)+2, ...`` (parity is forced) in turn and
-    stops at the first whose factorizations include one generating W; a
+    stops at the first at which :func:`full_factorization_codes` yields; a
     reduced factorization extended by pairs of simple reflections shows
     that ``l(g) + 2n`` always suffices.  Generation is decided on the
     reflection set, so no linear algebra runs here.
     """
     w = g.group
     base = length_table(w)[w.element_ids()[g.comps]]
-    whole = generation_memo(w)
     for length in range(base, base + 2 * w.rank + 1, 2):
-        if any(whole(f) for f in factorizations(g, length, budget)):
+        # code 0 is the factorization (0, ..., 0), so test for None
+        if next(full_factorization_codes(g, length, budget), None) is not None:
             return length
     raise AssertionError("no full factorization found in bound")

@@ -19,8 +19,10 @@ from .errors import CapExceeded
 class Budget:
     """Caps on search work.  Counters accumulate per instance.
 
-    ``max_tuples`` bounds branch edges explored while enumerating reflection
-    tuples; ``max_states`` bounds states visited in orbit walks.
+    ``max_tuples`` is the one work limit, applied to each counter on its
+    own: ``max_tuples`` counts branch edges explored while enumerating
+    reflection tuples, ``max_states`` counts states visited in orbit walks,
+    and :class:`CapExceeded` names the counter that ran over.
     ``max_mem_mb`` converts to a cap on the total tracked units through a
     coarse bytes-per-unit estimate, deliberately avoiding live memory
     sampling so that capped runs stay deterministic.
@@ -28,7 +30,6 @@ class Budget:
     """
 
     max_tuples: int | None = None
-    max_states: int | None = None
     max_mem_mb: float | None = None
     timeout_s: float | None = None
     spent: dict[str, int] = field(default_factory=dict)
@@ -41,9 +42,8 @@ class Budget:
     def charge(self, cap: str, amount: int = 1) -> None:
         used = self.spent.get(cap, 0) + amount
         self.spent[cap] = used
-        limit = getattr(self, cap)
-        if limit is not None and used > limit:
-            raise CapExceeded(cap, limit, needed=used)
+        if self.max_tuples is not None and used > self.max_tuples:
+            raise CapExceeded(cap, self.max_tuples, needed=used)
         if self.max_mem_mb is not None:
             total = sum(self.spent.values())
             if total * self.BYTES_PER_UNIT > self.max_mem_mb * 1_000_000:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from math import gcd
+from math import gcd, inf
 from typing import Callable
 
 from . import absorder, gensets, hurwitz
@@ -60,8 +60,9 @@ class CampaignConfig:
             )
         for cap in ("max_elements", "max_tuples", "max_mem_mb", "timeout_s"):
             value = getattr(self, cap)
-            if value is not None and value <= 0:
-                raise ValueError(f"{cap} must be positive, got {value}")
+            # false for nan and inf; unlike math.isfinite, safe on huge ints
+            if value is not None and not 0 < value < inf:
+                raise ValueError(f"{cap} must be finite and positive, got {value}")
         # a factorization's excess over the reflection length is even, so
         # an odd offset has no factorizations and its items would pass empty;
         # a repeated offset repeats its records, and no offset passes no items
@@ -74,16 +75,14 @@ class CampaignConfig:
     def item_budget(self) -> Budget | None:
         """A fresh budget per item, or None when every cap is unlimited.
 
-        ``max_tuples`` also sets ``max_states``: one number caps both the
-        enumerated tuples and the orbit-walk states, each counted on its
-        own.
+        ``max_tuples`` caps both the enumerated tuples and the orbit-walk
+        states, each counted on its own (see :class:`Budget`).
         """
         caps = (self.max_tuples, self.max_mem_mb, self.timeout_s)
         if all(x is None for x in caps):
             return None
         return Budget(
             max_tuples=self.max_tuples,
-            max_states=self.max_tuples,
             max_mem_mb=self.max_mem_mb,
             timeout_s=self.timeout_s,
         )

@@ -119,7 +119,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"coxorbits: {e}", file=sys.stderr)
         return 2
     if args.out:
-        report.write(args.out)
+        try:
+            report.write(args.out)
+        except OSError as e:
+            print(f"coxorbits: cannot write report: {e}", file=sys.stderr)
+            return 2
         print(
             f"{cfg.campaign} on {cfg.group}: checked {report.checked}, "
             f"passed {report.passed}, failed {report.failed}, "

@@ -68,26 +68,18 @@ def analyze_genset(
         return w.generates_whole(subset)
 
     generates = gen(ids)
-    is_minimal = generates and all(
-        not gen(ids[:i] + ids[i + 1 :]) for i in range(len(ids))
-    )
+    # the first generating one-out subset decides minimality, and it is the
+    # witness unless a rank-size subset generates
+    one_outs = (ids[:i] + ids[i + 1 :] for i in range(len(ids)))
+    witness = next((sub for sub in one_outs if gen(sub)), None) if generates else None
+    is_minimal = generates and witness is None
     contains_minimum = False
-    witness = None
     if generates and len(ids) >= n:
         for sub in itertools.combinations(ids, n):
             if gen(sub):
                 contains_minimum = True
                 witness = sub
                 break
-    if witness is None and generates and not is_minimal:
-        witness = next(
-            (
-                ids[:i] + ids[i + 1 :]
-                for i in range(len(ids))
-                if gen(ids[:i] + ids[i + 1 :])
-            ),
-            None,
-        )
     return GenSetReport(
         reflections=ids,
         generates=generates,
@@ -418,7 +410,9 @@ def signed_graph_of(
 ) -> SignedGraph:
     """Translate reflections of an A/B/D group into a signed graph."""
     _, edge_of, vertices = _graph_model(w, family)
-    edges = [edge_of(t) for t in set(refl_ids)]
+    ids = set(refl_ids)
+    w.check_reflection_ids(ids)
+    edges = [edge_of(t) for t in ids]
     return SignedGraph(n=vertices, edges=tuple(sorted(edges)))
 
 

@@ -25,7 +25,8 @@ A partition is one lazy pass over
 orbit seeds the walk of its own orbit and, arriving in increasing order, is
 that orbit's least member.  No copy of the ground set is kept; one count at
 the end checks that orbits cover it.  Only representatives and witnesses
-are decoded.
+are decoded.  Ground sets of full factorizations are the codes of
+:func:`~coxorbits.absorder.full_factorization_codes`.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -42,8 +43,9 @@ from .absorder import (
     decode,
     encode,
     factorization_codes,
+    factorizations,
+    full_factorization_codes,
     full_reflection_length,
-    generation_memo,
     length_table,
     reflection_length,
 )
@@ -267,32 +269,16 @@ def _ground_set(
     """The length and the codes of the factorizations of ``g`` with
     ``length`` factors, lazily, in increasing (lexicographic) order.  With
     ``full_only`` only those whose factors generate the whole group, and the
-    length defaults to the full reflection length.  A negative length raises
-    :class:`BadFactorization` at once."""
-    if length is not None and length < 0:
-        raise BadFactorization(f"no factorizations of length {length}")
-    w = g.group
-    if not full_only:
-        if length is None:
-            length = length_table(w)[w.element_ids()[g.comps]]
-        return length, factorization_codes(g, length, budget)
+    length defaults to the full reflection length."""
     if length is None:
-        length = full_reflection_length(g, budget)
-    whole = generation_memo(w)
-    n, n_refl = length, w.num_reflections
-    return n, (
-        code
-        for code in factorization_codes(g, n, budget)
-        if whole(decode(code, n, n_refl))
-    )
-
-
-def _decoded(
-    g: GroupElement, ground: tuple[int, Iterator[int]]
-) -> list[tuple[int, ...]]:
-    n, codes = ground
-    n_refl = g.group.num_reflections
-    return [decode(code, n, n_refl) for code in codes]
+        w = g.group
+        length = (
+            full_reflection_length(g, budget)
+            if full_only
+            else length_table(w)[w.element_ids()[g.comps]]
+        )
+    codes = full_factorization_codes if full_only else factorization_codes
+    return length, codes(g, length, budget)
 
 
 def enumerate_factorizations(
@@ -305,7 +291,7 @@ def enumerate_factorizations(
     when no factorization of that length exists.  A negative length raises
     :class:`BadFactorization`.
     """
-    return _decoded(g, _ground_set(g, length, budget, full_only=False))
+    return list(factorizations(g, length, budget))
 
 
 def enumerate_full_factorizations(
@@ -316,7 +302,9 @@ def enumerate_full_factorizations(
     """Factorizations of ``g`` whose factors generate the whole group, at the
     given length (default: the minimum possible, the full reflection
     length)."""
-    return _decoded(g, _ground_set(g, length, budget, full_only=True))
+    n, codes = _ground_set(g, length, budget, full_only=True)
+    n_refl = g.group.num_reflections
+    return [decode(code, n, n_refl) for code in codes]
 
 
 def partition_into_orbits(

@@ -3,15 +3,16 @@ quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
 * reduced factorizations: pruned search vs brute-force product filtering,
-* the factorization walker: empty at impossible lengths, equal to the
-  enumeration and to product filtering elsewhere, and lazy under a budget,
+* the factorization walker: empty at impossible lengths, raising at a
+  negative one, equal to the enumeration and to product filtering
+  elsewhere, and lazy under a budget,
 * factorization codes: ``decode`` inverts ``encode``, code order is
   lexicographic order, and the decoded codes equal product filtering,
 * parabolic closure membership vs fixed-space containment of matrices,
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
-* full reflection length vs the shortest factorization whose element
-  closure is the whole group.
+* full factorization codes and the full reflection length vs the
+  factorizations whose element closure is the whole group.
 """
 import itertools
 from collections import defaultdict
@@ -34,6 +35,7 @@ from coxorbits.absorder import (
     encode,
     factorization_codes,
     factorizations,
+    full_factorization_codes,
     full_reflection_length,
     is_parabolic,
     is_parabolic_quasi_coxeter,
@@ -44,7 +46,7 @@ from coxorbits.absorder import (
     reflection_length,
 )
 from coxorbits.budget import Budget
-from coxorbits.errors import CapExceeded, GroupMismatch
+from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
 from coxorbits.hurwitz import enumerate_factorizations
 from coxorbits.scalars import Scalar
 
@@ -284,6 +286,13 @@ def test_factorizations_empty_at_impossible_lengths(label):
         for n in range(k + 4):
             if n < k or (n - k) % 2:
                 assert list(factorizations(g, n)) == [], (g, n)
+
+
+def test_negative_length_raises_in_the_walker():
+    w = cached_group("A2")
+    for view in (factorization_codes, factorizations, full_factorization_codes):
+        with pytest.raises(BadFactorization):
+            list(view(w.identity, -1))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "I2(5)"])
@@ -535,6 +544,26 @@ def test_full_length_matches_brute_force(label, max_length):
     for g in w.elements():
         if max_length is None or reflection_length(g) <= max_length:
             assert full_reflection_length(g) == brute_full_length(g, orders), g
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "I2(5)"])
+def test_full_factorization_codes_match_element_closure(label):
+    """The kept codes are those whose factors' element closure is all of W,
+    at lengths ``l`` and ``l + 2``, in increasing order."""
+    w = cached_group(label)
+    n_refl = w.num_reflections
+    orders: dict = {}
+    for g in w.elements():
+        k = reflection_length(g)
+        for n in (k, k + 2):
+            kept = []
+            for code in factorization_codes(g, n):
+                key = frozenset(decode(code, n, n_refl))
+                if key not in orders:
+                    orders[key] = w.closure([w.reflection(t) for t in key]).order
+                if orders[key] == w.census_order:
+                    kept.append(code)
+            assert list(full_factorization_codes(g, n)) == kept, (g, n)
 
 
 def test_full_length_budget():

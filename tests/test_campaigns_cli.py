@@ -39,6 +39,11 @@ def test_config_validation():
         CampaignConfig(group="A2", campaign="everything")
     with pytest.raises(ValueError):
         CampaignConfig(group="A2", campaign="carter", max_tuples=0)
+    # nan passes ``value <= 0``; non-finite caps are not valid JSON either
+    for cap in ("max_elements", "max_tuples", "max_mem_mb", "timeout_s"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                CampaignConfig(group="A2", campaign="carter", **{cap: value})
     for offsets in [(1,), (0, 3), (-2,), (0, 0), ()]:
         with pytest.raises(ValueError):
             CampaignConfig(group="A2", campaign="conjecture", offsets=offsets)
@@ -268,6 +273,21 @@ def test_cli_group_past_max_elements_fails_fast(capsys):
     assert "max_elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--timeout-s", "--max-mem-mb"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_cap(flag, value, capsys):
+    assert main(["--group", "A2", "--campaign", "carter", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite and positive" in captured.err
+
+
+def test_cli_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "absent" / "r.jsonl"
+    assert main(["--group", "A1", "--campaign", "carter", "--out", str(out)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_cli_bad_offsets():
     with pytest.raises(SystemExit):
         main(["--group", "A1", "--campaign", "carter", "--offsets", "x"])
@@ -355,6 +375,16 @@ def test_cap_exceeded_reports_configured_limit():
     with pytest.raises(CapExceeded) as e:
         small.charge("max_tuples")
     assert (e.value.cap, e.value.limit) == ("max_mem_mb", 0.0005)
+
+
+def test_max_tuples_caps_each_work_counter_on_its_own():
+    budget = Budget(max_tuples=3)
+    budget.charge("max_tuples", 3)
+    budget.charge("max_states", 3)
+    with pytest.raises(CapExceeded) as e:
+        budget.charge("max_states")
+    assert (e.value.cap, e.value.limit) == ("max_states", 3)
+    assert budget.spent == {"max_tuples": 3, "max_states": 4}
 
 
 def test_env_budget_applies_and_flags_win(monkeypatch, capsys):

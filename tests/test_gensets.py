@@ -13,6 +13,7 @@ from coxorbits.budget import Budget
 from coxorbits.errors import (
     BadFactorization,
     CapExceeded,
+    IndexOutOfRange,
     NotDistinct,
     NotGenerating,
     TypeMismatch,
@@ -83,6 +84,20 @@ def test_generates_flag_matches_closure_exhaustively():
             assert report.generates == (closure_order(w, ids) == 8)
             if report.contains_minimum:
                 assert report.generates
+
+
+def test_analyze_witness_is_the_minimality_tests_subset():
+    """Not minimal and no generating pair: the witness is the first
+    generating one-out subset, which the minimality test already found,
+    so no one-out subset is tested twice (13 tests before, 10 now)."""
+    w = cached_group("I2(30)")
+    budget = Budget()
+    report = analyze_genset(w, [0, 2, 12, 27], budget=budget)
+    assert (report.generates, report.is_minimal, report.contains_minimum) == (
+        True, False, False
+    )
+    assert report.witness == (0, 2, 27)
+    assert budget.spent == {"max_tuples": 10}
 
 
 def test_analyze_budget():
@@ -320,6 +335,13 @@ def test_graph_round_trip(label):
     for ids in subsets:
         g = signed_graph_of(w, ids)
         assert reflections_of_graph(w, g) == tuple(sorted(ids))
+
+
+def test_signed_graph_of_rejects_out_of_range_ids():
+    w = cached_group("A3")
+    for ids in ([-1], [6]):
+        with pytest.raises(IndexOutOfRange):
+            signed_graph_of(w, ids)
 
 
 def test_graph_type_mismatch():

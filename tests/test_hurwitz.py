@@ -297,7 +297,7 @@ def test_orbit_budget():
     with pytest.raises(CapExceeded):
         hurwitz_orbit(
             Factorization(w, enumerate_factorizations(c)[0]),
-            Budget(max_states=3),
+            Budget(max_tuples=3),
         )
 
 
@@ -405,6 +405,11 @@ def test_partition_rejects_negative_length():
     w = cached_group("A2")
     with pytest.raises(BadFactorization):
         partition_into_orbits(w.identity, -1)
+    with pytest.raises(BadFactorization):
+        partition_into_orbits(w.identity, -1, full_only=True)
+    for enumerate_ in (enumerate_factorizations, enumerate_full_factorizations):
+        with pytest.raises(BadFactorization):
+            enumerate_(w.identity, -1)
 
 
 # -- transitivity ----------------------------------------------------------
