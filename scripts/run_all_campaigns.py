@@ -19,7 +19,11 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from coxorbits.campaigns import CampaignConfig, run_campaign  # noqa: E402
+from coxorbits.campaigns import (  # noqa: E402
+    CAMPAIGN_NAMES,
+    CampaignConfig,
+    run_campaign,
+)
 
 DIHEDRAL_SMALL = [f"I2({m})" for m in range(3, 13)]
 CONJECTURE_GROUPS = ["A2", "A3", "B2"] + [
@@ -63,7 +67,7 @@ def slug(label: str) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="campaign-reports")
-    ap.add_argument("--only", help="run only this campaign")
+    ap.add_argument("--only", choices=CAMPAIGN_NAMES, help="run only this campaign")
     ap.add_argument(
         "--heavy", action="store_true", help="include the slow sweeps (F4, B3 full)"
     )

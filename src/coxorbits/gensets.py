@@ -6,6 +6,11 @@ most irreducible types; dihedral groups I2(m) with at least three distinct
 prime factors in m are the exception, and the machinery here can both find
 the counterexamples and certify their absence.
 
+One rule, ``_analyze``, decides minimal versus minimum for ``analyze_genset``
+and both modes of ``check_min_equals_min``.  Fewer than rank reflections
+never generate, so a generating rank-size set is minimal and no test runs
+whose answer the rank fixes.
+
 Three specialized models drive the analysis:
 
 * types A/B/D translate reflection sets into signed graphs (transposition
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -57,36 +63,35 @@ def analyze_genset(
     w: CoxeterGroup, refl_ids: Iterable[int], budget: Budget | None = None
 ) -> GenSetReport:
     """Decide generation, minimality and the presence of a rank-size
-    generating subset; the witness is the first qualifying subset in
-    lexicographic order."""
-    ids = tuple(sorted(set(refl_ids)))
-    n = w.rank
+    generating subset.  The witness is the first generating rank-size
+    subset in lexicographic order; failing that, the first generating
+    one-out subset, dropping the least reflection first.  Each generation
+    test charges ``max_tuples`` once."""
 
     def gen(subset) -> bool:
         if budget is not None:
             budget.charge("max_tuples")
         return w.generates_whole(subset)
 
-    generates = gen(ids)
-    # the first generating one-out subset decides minimality, and it is the
-    # witness unless a rank-size subset generates
-    one_outs = (ids[:i] + ids[i + 1 :] for i in range(len(ids)))
-    witness = next((sub for sub in one_outs if gen(sub)), None) if generates else None
-    is_minimal = generates and witness is None
-    contains_minimum = False
-    if generates and len(ids) >= n:
-        for sub in itertools.combinations(ids, n):
-            if gen(sub):
-                contains_minimum = True
-                witness = sub
-                break
-    return GenSetReport(
-        reflections=ids,
-        generates=generates,
-        is_minimal=is_minimal,
-        contains_minimum=contains_minimum,
-        witness=witness,
-    )
+    return _analyze(tuple(sorted(set(refl_ids))), w.rank, gen)
+
+
+def _analyze(
+    ids: tuple[int, ...], rank: int, gen: Callable[[tuple[int, ...]], bool]
+) -> GenSetReport:
+    """The minimal-versus-minimum rule for the sorted set ``ids``; ``gen``
+    decides whether a subset generates the target, of rank ``rank``."""
+    if not gen(ids):
+        return GenSetReport(ids, False, False, False, None)
+    if len(ids) == rank:
+        return GenSetReport(ids, True, True, True, ids)
+    witness = next((s for s in itertools.combinations(ids, rank) if gen(s)), None)
+    # the one-out subsets of a (rank+1)-size set are the rank-size ones
+    if witness is None and len(ids) > rank + 1:
+        one_outs = (ids[:i] + ids[i + 1 :] for i in range(len(ids)))
+        witness = next((s for s in one_outs if gen(s)), None)
+    contains_minimum = witness is not None and len(witness) == rank
+    return GenSetReport(ids, True, witness is None, contains_minimum, witness)
 
 
 def conjugacy_orbit_reps(
@@ -152,16 +157,11 @@ def check_min_equals_min(
 
 
 def _min_min_subsets(w, budget) -> tuple[list[tuple[int, ...]], int]:
-    n = w.rank
     counter = []
     checked = 0
-    for rep, _ in conjugacy_orbit_reps(w, n + 1, budget):
+    for rep, _ in conjugacy_orbit_reps(w, w.rank + 1, budget):
         checked += 1
-        if not w.generates_whole(rep):
-            continue
-        if not any(
-            w.generates_whole(sub) for sub in itertools.combinations(rep, n)
-        ):
+        if _analyze(rep, w.rank, w.generates_whole).is_minimal:
             counter.append(rep)
     return counter, checked
 
@@ -178,19 +178,19 @@ def _min_min_subgroups(w, budget) -> tuple[list[tuple[int, ...]], int]:
             subgroups.add(w.reflection_closure(subset))
     counter = []
     for inside in sorted(tuple(sorted(s)) for s in subgroups):
-        target = frozenset(inside)
         rank = _reflection_set_rank(w, inside)
+        gen = partial(_closes_to, w, frozenset(inside))
         for x in itertools.combinations(inside, rank + 1):
             if budget is not None:
                 budget.charge("max_tuples")
-            if w.reflection_closure(x) != target:
-                continue
-            if not any(
-                w.reflection_closure(y) == target
-                for y in itertools.combinations(x, rank)
-            ):
+            if _analyze(x, rank, gen).is_minimal:
                 counter.append(x)
     return counter, len(subgroups)
+
+
+def _closes_to(w: CoxeterGroup, target: frozenset[int], refl_ids) -> bool:
+    """Whether the reflections generate the reflection subgroup ``target``."""
+    return w.reflection_closure(refl_ids) == target
 
 
 def _reflection_set_rank(w: CoxeterGroup, refl_ids: Iterable[int]) -> int:

@@ -553,7 +553,7 @@ class CoxeterGroup:
             if self.census_order > self.cap:
                 raise CapExceeded("max_elements", self.cap, self.census_order)
             gens = [self.reflection(t).comps for t in self.simple_reflection_ids]
-            seen = self._closure_comps(gens, self.cap)
+            seen = self._closure_comps(gens)
             assert len(seen) == self.census_order, (len(seen), self.census_order)
             ordered = sorted(seen, key=self.serialize_comps)
             self._cache["elements"] = tuple(
@@ -583,30 +583,27 @@ class CoxeterGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def closure(
-        self, gens: Iterable[GroupElement], cap: int | None = None
-    ) -> Subgroup:
+    def closure(self, gens: Iterable[GroupElement]) -> Subgroup:
         """The subgroup generated by ``gens`` (BFS closure, cap-guarded)."""
-        limit = self.cap if cap is None else cap
         gens = tuple(gens)
         for g in gens:
             if g.group is not self:
                 raise GroupMismatch("generator belongs to a different group")
-        comps = self._closure_comps([g.comps for g in gens], limit)
+        comps = self._closure_comps([g.comps for g in gens])
         return Subgroup(
             self, gens, frozenset(GroupElement(self, c) for c in comps)
         )
 
     def _closure_comps(
-        self, gen_comps: list[tuple[Comp, ...]], limit: int
+        self, gen_comps: list[tuple[Comp, ...]]
     ) -> set[tuple[Comp, ...]]:
         seen: set[tuple[Comp, ...]] = set()
         start = list({self.identity.comps, *gen_comps})
         for _ in breadth_first(seen, start, lambda layer: (
             self.multiply_comps(g, s) for g in layer for s in gen_comps
         )):
-            if len(seen) > limit:
-                raise CapExceeded("max_elements", limit)
+            if len(seen) > self.cap:
+                raise CapExceeded("max_elements", self.cap)
         return seen
 
     def generates_whole(self, refl_ids: Iterable[int]) -> bool:

@@ -1,6 +1,9 @@
 """Campaign runner and command line: record shapes, determinism, budgets,
 golden comparison, and exit codes."""
 import json
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -286,6 +289,23 @@ def test_cli_unwritable_out(tmp_path, capsys):
     assert main(["--group", "A1", "--campaign", "carter", "--out", str(out)]) == 2
     assert "cannot write report" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_battery_rejects_unknown_only(tmp_path):
+    """A misspelt ``--only`` is a usage error before any report is written,
+    not an empty run that passes."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out_dir = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_all_campaigns.py"),
+         "--only", "conjectur", "--out-dir", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+    assert not out_dir.exists()
 
 
 def test_cli_bad_offsets():

@@ -5,6 +5,7 @@ Every specialized criterion is cross-checked against exact subgroup closures
 on groups small enough to sweep exhaustively.
 """
 import itertools
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -103,8 +104,102 @@ def test_analyze_witness_is_the_minimality_tests_subset():
 def test_analyze_budget():
     w = cached_group("A3")
     with pytest.raises(CapExceeded) as e:
-        analyze_genset(w, range(6), budget=Budget(max_tuples=2))
+        analyze_genset(w, range(6), budget=Budget(max_tuples=1))
     assert e.value.cap == "max_tuples"
+    budget = Budget()
+    analyze_genset(w, range(6), budget=budget)
+    assert budget.spent == {"max_tuples": 2}
+
+
+def closure_oracle(w):
+    """The four answers of a ``GenSetReport`` from their definitions, with
+    generation decided by element closures (memoized per subset): minimal
+    means no proper subset generates, and the witness is the first
+    generating rank-size subset in lexicographic order, else the first
+    generating one-out subset, dropping the least reflection first."""
+    generates = lru_cache(maxsize=None)(
+        lambda ids: closure_order(w, ids) == w.census_order
+    )
+
+    def answers(ids):
+        if not generates(ids):
+            return (False, False, False, None)
+        proper = (
+            sub for k in range(len(ids)) for sub in itertools.combinations(ids, k)
+        )
+        minimal = not any(generates(sub) for sub in proper)
+        ranked = (s for s in itertools.combinations(ids, w.rank) if generates(s))
+        one_outs = (ids[:i] + ids[i + 1 :] for i in range(len(ids)))
+        witness = next(ranked, None)
+        contains_minimum = witness is not None
+        if witness is None:
+            witness = next((s for s in one_outs if generates(s)), None)
+        return (True, minimal, contains_minimum, witness)
+
+    return answers
+
+
+def report_answers(report):
+    return (
+        report.generates, report.is_minimal, report.contains_minimum, report.witness
+    )
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "I2(6)", "A2xI2(5)"])
+def test_analyze_matches_closure_oracle(label):
+    w = cached_group(label)
+    oracle = closure_oracle(w)
+    for k in range(w.rank + 3):
+        for ids in itertools.combinations(range(w.num_reflections), k):
+            assert report_answers(analyze_genset(w, ids)) == oracle(ids), ids
+
+
+def test_analyze_matches_closure_oracle_i2_30():
+    """Every set of at most four reflections of I2(30) through line 0: 4090
+    sets, among them the minimal triples that no pair inside generates."""
+    w = cached_group("I2(30)")
+    oracle = closure_oracle(w)
+    checked = 0
+    for k in range(4):
+        for rest in itertools.combinations(range(1, 30), k):
+            ids = (0,) + rest
+            assert report_answers(analyze_genset(w, ids)) == oracle(ids), ids
+            checked += 1
+    assert checked == 4090
+
+
+@pytest.mark.parametrize(
+    "label, ids, witness, lex_first_one_out",
+    [
+        ("I2(30)", (0, 2, 5, 8), (0, 5, 8), (0, 2, 5)),
+        ("I2(42)", (0, 2, 6, 9), (2, 6, 9), (0, 2, 9)),
+    ],
+)
+def test_analyze_one_out_witness_drops_least_first(
+    label, ids, witness, lex_first_one_out
+):
+    """Without a generating pair, the witness is the first generating one-out
+    subset in the order that drops ``ids[0]`` first, which need not be the
+    lexicographically first generating one-out subset."""
+    w = cached_group(label)
+    report = analyze_genset(w, ids)
+    assert report_answers(report) == (True, False, False, witness)
+    assert report_answers(report) == closure_oracle(w)(ids)
+    one_outs = sorted(itertools.combinations(ids, len(ids) - 1))
+    assert next(s for s in one_outs if w.generates_whole(s)) == lex_first_one_out
+
+
+@pytest.mark.parametrize(
+    "label, ids, tests",
+    [("A3", (0, 1, 2), 1), ("A3", tuple(range(6)), 2), ("I2(30)", (0, 2, 27), 4)],
+)
+def test_analyze_runs_no_test_the_rank_answers(label, ids, tests):
+    """Fewer than rank reflections never generate, so a generating rank-size
+    set needs one test and the one-out subsets of a (rank+1)-size set are
+    not tested apart from its rank-size subsets (5, 3 and 7 tests before)."""
+    budget = Budget()
+    analyze_genset(cached_group(label), ids, budget=budget)
+    assert budget.spent == {"max_tuples": tests}
 
 
 # -- conjugacy orbit sweeps ------------------------------------------------

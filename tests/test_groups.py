@@ -414,9 +414,9 @@ def test_reflection_closure_rejects_bad_ids():
 
 
 def test_closure_cap_raises():
-    w = build_group("A3")
+    w = build_group("A3", cap=10)
     with pytest.raises(CapExceeded):
-        w.closure([w.reflection(t) for t in w.simple_reflection_ids], cap=10)
+        w.closure([w.reflection(t) for t in w.simple_reflection_ids])
 
 
 def test_whole_group_cap_and_unsupported():
