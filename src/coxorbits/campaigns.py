@@ -208,11 +208,12 @@ def _items_carter(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
         below_by_length = {
             t for t in range(n_refl) if dist[table[t][e]] == dist[e] - 1
         }
-        below_by_space = set(absorder.reflections_fixing(g))
-        below_by_closure = set(absorder.parabolic_closure(g).reflection_ids)
+        fixing = absorder.reflections_fixing(g)
+        # the parabolic closure, closed here on the reflections just found
+        closure = w.closure([w.reflection(t) for t in fixing])
         ok = (
             length == bfs
-            and below_by_length == below_by_space == below_by_closure
+            and below_by_length == set(fixing) == set(closure.reflection_ids)
         )
         return ok, {
             "length": length,

@@ -12,6 +12,12 @@ geometry runs on one span routine per factor kind (see ``_Factor``).
 Closures that need only the states they reach run on one layered search,
 :func:`breadth_first`: the root system, element closures, conjugacy classes,
 and other modules' searches over reflection subsets and element ids.
+A subgroup closure takes one of two routes.  Once the group's
+``refl_mult_table`` is built it runs on element ids, adding a generator only
+when it is not yet in the subgroup and moving ids along table rows; the
+subgroup's members are then the cached elements.  Before that it multiplies
+element components under every generator, which needs no element table and
+stops at the element cap.
 
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
@@ -584,15 +590,58 @@ class CoxeterGroup:
     # -- subgroups ---------------------------------------------------------
 
     def closure(self, gens: Iterable[GroupElement]) -> Subgroup:
-        """The subgroup generated by ``gens`` (BFS closure, cap-guarded)."""
+        """The subgroup generated by ``gens``.
+
+        Once ``refl_mult_table`` is built the closure runs on element ids
+        (:meth:`_closure_ids`), and its members are the cached
+        :meth:`elements`.  Otherwise it multiplies element components
+        (:meth:`_closure_comps`), which builds no table: E7/E8 closures run
+        there, and a one-off closure on a big group does not pay for one.
+        Only this route can raise :class:`CapExceeded`, past ``cap``
+        elements.  Both routes give the same :class:`Subgroup`."""
         gens = tuple(gens)
         for g in gens:
             if g.group is not self:
                 raise GroupMismatch("generator belongs to a different group")
-        comps = self._closure_comps([g.comps for g in gens])
-        return Subgroup(
-            self, gens, frozenset(GroupElement(self, c) for c in comps)
-        )
+        if "refl_mult_table" in self.__dict__:
+            elems = self.elements()
+            members = frozenset(elems[x] for x in self._closure_ids(gens))
+        else:
+            comps = self._closure_comps([g.comps for g in gens])
+            members = frozenset(GroupElement(self, c) for c in comps)
+        return Subgroup(self, gens, members)
+
+    def _closure_ids(self, gens: tuple[GroupElement, ...]) -> set[int]:
+        """Element ids of the subgroup ``gens`` generate, grown from the
+        identity id by the first step of Dimino's algorithm (Butler,
+        *Fundamental Algorithms for Permutation Groups*, 1991): a generator
+        already in the subgroup is skipped, and each kept one acts by its
+        row of left products, ``refl_mult_table[t]`` for a reflection."""
+        ids = self.element_ids()
+        table = self.refl_mult_table
+        one = ids[self.identity.comps]
+        refl_rows = {row[one]: row for row in table}
+        seen = {one}
+        rows: list[list[int]] = []
+        for g in gens:
+            x = ids[g.comps]
+            if x in seen:
+                continue
+            row = refl_rows.get(x)
+            if row is None:
+                row = [
+                    ids[self.multiply_comps(g.comps, h.comps)]
+                    for h in self.elements()
+                ]
+            rows.append(row)
+            # the subgroup so far is closed under the earlier rows, so the
+            # new elements start at its images under the new one
+            start = list({row[y] for y in seen} - seen)
+            for _ in breadth_first(seen, start, lambda layer: (
+                r[y] for r in rows for y in layer
+            )):
+                pass
+        return seen
 
     def _closure_comps(
         self, gen_comps: list[tuple[Comp, ...]]

@@ -115,13 +115,13 @@ def test_budget_skips_are_recorded_not_fatal():
 def test_timeout_checked_after_the_item(monkeypatch):
     # carter items charge their budget once, before their work; make that
     # work overrun the deadline so only the check after the item sees it
-    fast = absorder.parabolic_closure
+    fast = absorder.reflections_fixing
 
     def slow(g):
         time.sleep(0.02)
         return fast(g)
 
-    monkeypatch.setattr(absorder, "parabolic_closure", slow)
+    monkeypatch.setattr(absorder, "reflections_fixing", slow)
     report = run("A2", "carter", timeout_s=0.01)
     assert report.skipped == report.checked == 6
     for record in records_of(report)[2:-1]:

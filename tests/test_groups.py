@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fixed_space_codim
 from coxorbits import build_group
+from coxorbits.absorder import parabolic_closure
 from coxorbits.errors import (
     CapExceeded,
     GroupMismatch,
@@ -338,6 +339,77 @@ def test_reflection_closure_matches_element_closure_sampled_h3():
         sub = w.closure([w.reflection(t) for t in ids])
         assert w.reflection_closure(ids) == set(sub.reflection_ids), ids
         assert w.generates_whole(ids) == sub.is_whole_group
+
+
+def _assert_closure_routes_agree(w, gen_sets):
+    """Close each generator list on the component route, then again on the
+    element-id route once ``w``'s multiplication table exists."""
+    by_comps = [w.closure(gens) for gens in gen_sets]
+    assert "refl_mult_table" not in w.__dict__
+    w.refl_mult_table
+    cached = {id(g) for g in w.elements()}
+    for gens, a in zip(gen_sets, by_comps):
+        b = w.closure(gens)
+        assert a == b, gens
+        assert (a.order, a.reflection_ids, a.canonical_key) == (
+            b.order, b.reflection_ids, b.canonical_key
+        ), gens
+        # the id route makes no element: its members are the cached ones
+        assert {id(g) for g in b.elements} <= cached
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "A2xA1", "I2(5)"])
+def test_closure_routes_agree(label):
+    """Every reflection subset of size at most rank+1, each group built
+    fresh so the first pass has no table."""
+    w = build_group(label)
+    gen_sets = [
+        [w.reflection(t) for t in ids]
+        for size in range(w.rank + 2)
+        for ids in itertools.combinations(w.reflection_ids(), size)
+    ]
+    _assert_closure_routes_agree(w, gen_sets)
+
+
+def test_closure_routes_agree_sampled_h3():
+    w = build_group("H3")
+    rng = random.Random(1991)
+    gen_sets = [
+        [w.reflection(t) for t in rng.sample(range(w.num_reflections), k)]
+        for k in (rng.randint(1, w.rank + 1) for _ in range(60))
+    ]
+    _assert_closure_routes_agree(w, gen_sets)
+
+
+def test_closure_routes_agree_on_non_reflections():
+    """Generators that are not reflections: the intersection of two rank-2
+    parabolics (identity and a reflection), a Coxeter element, and products
+    of two reflections."""
+    w = build_group("A3")
+    s = [w.reflection(t) for t in w.simple_reflection_ids]
+    inter = w.closure(s[:2]).elements & w.closure(s[1:]).elements
+    gen_sets = [
+        sorted(inter, key=lambda g: g.serialize()),
+        [s[0] * s[1] * s[2]],
+        [s[0] * s[1], s[2]],
+        [w.identity, s[0] * s[2], s[1] * s[2]],
+    ]
+    _assert_closure_routes_agree(w, gen_sets)
+
+
+def test_e7_closures_build_no_table():
+    w = build_group("E7")
+    s = [w.reflection(t) for t in w.simple_reflection_ids]
+    pair_orders = []
+    for i, j in itertools.combinations(range(w.rank), 2):
+        m = (s[i] * s[j]).order()
+        assert w.closure([s[i], s[j]]).order == 2 * m
+        pair_orders.append(m)
+    # the E7 diagram is a tree: 6 of its 21 pairs are joined
+    assert sorted(pair_orders) == [2] * 15 + [3] * 6
+    assert parabolic_closure(s[0] * s[1]).order == 2 * (s[0] * s[1]).order()
+    assert "refl_mult_table" not in w.__dict__
+    assert "elements" not in w._cache
 
 
 # -- the breadth-first primitive ---------------------------------------------
