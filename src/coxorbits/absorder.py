@@ -8,12 +8,15 @@ factors' span routine (see :mod:`~coxorbits.groups`), without branching on
 the factor kind: lengths are moved-space dimensions, and a reflection fixes
 a common fixed space when its root lies in the sum of the moved spaces.
 
-Whole-group work reads lengths from ``length_table`` (one geometric length
-per element, cached per group) through element ids.  "Below some
-quasi-Coxeter element" is a cached down-set: the elements reached from the
-quasi-Coxeter elements by left reflection multiplications that each drop
-the length by one.  ``absolute_leq`` keeps the geometric definition, which
-needs no element table.
+Whole-group queries read only the integer tables, through element ids:
+``length_table`` (one geometric length per element, cached per group) and
+``refl_mult_table``.  They decide "the reflection ``t`` lies below ``g``" by
+one rule, ``l(t g) = l(g) - 1`` (:func:`_lowering_reflections`, the
+reflections fixing ``Fix(g)`` by Carter's lemma): classification, and the
+cached down-set "below some quasi-Coxeter element", the elements reached
+from the quasi-Coxeter elements by steps that each drop the length by one.
+Fixed-space geometry serves the element-level API, which needs no element
+table, and the definition of the length table.
 
 Every factorization search is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
@@ -91,8 +94,7 @@ def parabolic_closure(g: GroupElement) -> Subgroup:
     """The smallest parabolic subgroup containing ``g``: the subgroup
     generated by the reflections fixing ``Fix(g)`` pointwise."""
     w = g.group
-    ids = _fixing_reflections(w, [g.comps])
-    return w.closure([w.reflection(t) for t in ids])
+    return w.closure([w.reflection(t) for t in reflections_fixing(g)])
 
 
 def is_parabolic(sub: Subgroup) -> bool:
@@ -103,6 +105,21 @@ def is_parabolic(sub: Subgroup) -> bool:
     ids = _fixing_reflections(w, gen_comps)
     stab = w.closure([w.reflection(t) for t in ids])
     return stab == sub
+
+
+def _lowering_reflections(w: CoxeterGroup, e: int) -> list[int]:
+    """The reflections ``t`` with ``l(t g) = l(g) - 1``, for ``g`` the
+    element with id ``e``, read from the integer tables.
+
+    By Carter's lemma (Carter, *Conjugacy classes in the Weyl group*, 1972)
+    ``l(t g) < l(g)`` exactly when ``Fix(g)`` lies in the hyperplane of
+    ``t``: these are the reflections of the parabolic closure of ``g``,
+    which :func:`reflections_fixing` finds by linear algebra.
+    """
+    lengths = length_table(w)
+    mult = w.refl_mult_table
+    target = lengths[e] - 1
+    return [t for t in range(w.num_reflections) if lengths[mult[t][e]] == target]
 
 
 def encode(factors: tuple[int, ...], n_refl: int) -> int:
@@ -253,9 +270,15 @@ def classify_element(
     generates the parabolic closure.  With ``strict=True`` every reduced
     factorization is closed and the report also states whether they all
     agreed (they provably do, which makes this a useful cross-check).
+
+    Like every whole-group query it reads only the integer tables: the
+    closure's reflections are :func:`_lowering_reflections`.  Fixed-space
+    geometry serves the element-level API, the definition of the length
+    table and the ``carter`` campaign's independent check.
     """
     w = g.group
-    below = frozenset(_fixing_reflections(w, [g.comps]))
+    e = w.element_ids()[g.comps]
+    below = frozenset(_lowering_reflections(w, e))
     # the parabolic closure's reflections are exactly ``below``, and T
     # generates W, so the closure is W exactly when ``below`` is all of T
     whole = len(below) == w.num_reflections
@@ -273,7 +296,7 @@ def classify_element(
     is_pqc = witness is not None
     return Classification(
         element=g,
-        length=length_table(w)[w.element_ids()[g.comps]],
+        length=length_table(w)[e],
         closure_is_whole=whole,
         is_parabolic_quasi_coxeter=is_pqc,
         is_quasi_coxeter=is_pqc and whole,
@@ -317,12 +340,11 @@ def _below_quasi_coxeter_ids(w: CoxeterGroup) -> frozenset[int]:
     absolute order.
     """
     if "below_qc" not in w._cache:
-        lengths = length_table(w)
         mult = w.refl_mult_table
         ids = w.element_ids()
         tops = [ids[c.comps] for c in quasi_coxeter_elements(w)]
         layers = breadth_first(set(), tops, lambda layer: (
-            row[q] for q in layer for row in mult if lengths[row[q]] == lengths[q] - 1
+            mult[t][q] for q in layer for t in _lowering_reflections(w, q)
         ))
         w._cache["below_qc"] = frozenset(chain.from_iterable(layers))
     return w._cache["below_qc"]

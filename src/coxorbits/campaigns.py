@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from math import gcd, inf
@@ -22,17 +22,6 @@ from .budget import Budget
 from .errors import CapExceeded, TypeMismatch
 from .groups import (
     CoxeterGroup, DihedralFactor, GroupElement, breadth_first, build_group
-)
-
-CAMPAIGN_NAMES = (
-    "carter",
-    "pqc-characterization",
-    "conjecture",
-    "min-full-transitivity",
-    "lr-normal-form",
-    "min-equals-min",
-    "dihedral-crt",
-    "class-multiset",
 )
 
 FORMAT_VERSION = 1
@@ -90,15 +79,7 @@ class CampaignConfig:
     def config_record(self) -> dict:
         """The config echoed into the report header: every field, so a
         stored report names everything needed to reproduce it."""
-        return {
-            "group": self.group,
-            "campaign": self.campaign,
-            "offsets": list(self.offsets),
-            "max_elements": self.max_elements,
-            "max_tuples": self.max_tuples,
-            "max_mem_mb": self.max_mem_mb,
-            "timeout_s": self.timeout_s,
-        }
+        return {**asdict(self), "offsets": list(self.offsets)}
 
 
 @dataclass(frozen=True)
@@ -460,6 +441,7 @@ _CAMPAIGNS = {
     "dihedral-crt": _items_crt,
     "class-multiset": _items_class_multiset,
 }
+CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 
 
 # -- the runner ------------------------------------------------------------

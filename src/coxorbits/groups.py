@@ -310,17 +310,16 @@ def _make_factor(ir: roots.IrreducibleDatum) -> Factor:
     return DihedralFactor(ir) if ir.family == "I" else VectorFactor(ir)
 
 
+@dataclass(frozen=True)
 class GroupElement:
-    """An element of a :class:`CoxeterGroup`: one component per factor."""
+    """An element of a :class:`CoxeterGroup`: one component per factor.
+    Groups compare by identity, so equal elements share their group."""
 
+    # not ``slots=True``: that makes a new class, whose frozen __setattr__
+    # raises TypeError, not AttributeError, for a non-field name on 3.11
     __slots__ = ("group", "comps")
-
-    def __init__(self, group: CoxeterGroup, comps: tuple[Comp, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
+    group: CoxeterGroup
+    comps: tuple[Comp, ...]
 
     def _check(self, other: GroupElement) -> None:
         if self.group is not other.group:
@@ -334,14 +333,6 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         return GroupElement(self.group, self.group.invert_comps(self.comps))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.group is other.group and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.comps))
 
     @property
     def is_identity(self) -> bool:

@@ -47,6 +47,7 @@ from coxorbits.absorder import (
 )
 from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
+from coxorbits.groups import DihedralFactor, VectorFactor
 from coxorbits.hurwitz import enumerate_factorizations
 from coxorbits.scalars import Scalar
 
@@ -120,18 +121,42 @@ def test_absolute_order_transitive(data):
 
 
 def test_reflections_below_equal_parabolic_closure():
-    """Three routes to "t lies below g": absolute order, matrix fixed-space
-    containment, membership in the parabolic closure."""
-    w = cached_group("B3")
-    for g in w.elements()[::5]:
-        closure = parabolic_closure(g)
-        gm = g.matrix()
-        for t in w.reflection_ids():
-            r = w.reflection(t)
-            below = absolute_leq(r, g)
-            contains = kernel_contains(r.matrix(), gm)
-            member = r in closure
-            assert below == contains == member
+    """Four routes to "t lies below g", on every element of the
+    vector-realized groups (``matrix()`` refuses dihedral factors): absolute
+    order, matrix fixed-space containment, membership in the parabolic
+    closure, and the length drop ``l(t g) = l(g) - 1`` read from the tables."""
+    for label in ["A3", "B3", "H3", "D4", "B2xA1"]:
+        w = cached_group(label)
+        ids = w.element_ids()
+        for g in w.elements():
+            closure = parabolic_closure(g)
+            gm = g.matrix()
+            lowering = set(absorder._lowering_reflections(w, ids[g.comps]))
+            for t in w.reflection_ids():
+                r = w.reflection(t)
+                below = absolute_leq(r, g)
+                contains = kernel_contains(r.matrix(), gm)
+                member = r in closure
+                assert below == contains == member == (t in lowering)
+
+
+def test_classify_element_reads_only_the_tables(monkeypatch):
+    """Once the length and multiplication tables exist, classification
+    never enters the fixed-space span routine of either factor kind."""
+    groups = [cached_group("B3"), cached_group("I2(6)")]
+    for w in groups:
+        absorder.length_table(w)
+        w.refl_mult_table
+
+    def refuse(*args):
+        raise AssertionError("span routine entered")
+
+    monkeypatch.setattr(VectorFactor, "span_insert", refuse)
+    monkeypatch.setattr(DihedralFactor, "span_insert", refuse)
+    for w in groups:
+        for g in w.elements():
+            cls = classify_element(g, strict=True)
+            assert cls.all_factorizations_agree
 
 
 # -- parabolic closures ----------------------------------------------------

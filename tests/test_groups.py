@@ -257,6 +257,19 @@ def test_cross_group_mixing_raises():
         a.identity * b.identity
 
 
+def test_element_equality_is_group_identity_and_comps():
+    a = build_group("A2")
+    b = build_group("A2")
+    g = a.reflection(0)
+    assert g == a.reflection(0) and hash(g) == hash(a.reflection(0))
+    assert g.comps == b.reflection(0).comps and g != b.reflection(0)
+    assert g != a.reflection(1) and g != g.comps
+    with pytest.raises(AttributeError):
+        g.comps = a.identity.comps
+    with pytest.raises(AttributeError):
+        g.extra = 1
+
+
 def test_reflection_index_range():
     w = build_group("A2")
     with pytest.raises(IndexOutOfRange):

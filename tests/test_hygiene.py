@@ -1,9 +1,13 @@
-"""Source hygiene: every name a package module imports is used there.
+"""Source hygiene: every name a package module imports is used there, and
+every private module-level helper is referenced somewhere in the package.
 
 Each module under ``src/coxorbits`` is parsed with ``ast``; an imported
 name counts as used when it occurs as a name anywhere in the module
 (annotations included) or is listed in ``__all__``, which is how
-``__init__`` re-exports.  ``from __future__`` imports are exempt.
+``__init__`` re-exports.  ``from __future__`` imports are exempt.  A
+function or class named ``_x`` at module level counts as live when any
+module names it outside its own definition, so a helper that a refactor
+leaves dead fails the gate.
 """
 import ast
 import pathlib
@@ -47,3 +51,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def unreferenced_private(trees: list[ast.Module]) -> list[str]:
+    """Module-level functions and classes named ``_x`` (dunders aside) that
+    no module references outside their own definition.  A reference is a
+    name, an attribute or an imported name."""
+    defined: dict[str, int] = {}
+    used: set[str] = set()
+    for tree in trees:
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined[owner] = stmt.lineno
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in used)
+
+
+def test_unreferenced_private_helpers_are_found():
+    trees = [
+        ast.parse("def _dead(n):\n    return _dead(n - 1)\n"
+                  "def _live():\n    pass\nclass _Base:\n    pass\n"),
+        ast.parse("from .a import _live\nclass B(m._Base):\n    x = _live\n"),
+    ]
+    assert unreferenced_private(trees) == ["_dead (line 1)"]
+
+
+def test_no_unreferenced_private_helpers():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    assert unreferenced_private(trees) == []
