@@ -4,7 +4,11 @@ A group is a product of irreducible factors.  Vector-realized factors store
 their full root system once, each root by its coefficients on the simple
 roots (the form is the simple roots' Gram matrix, see ``roots.gram_matrix``),
 and represent each element as a permutation of the root list, so
-multiplication is index chasing and never touches coordinates.
+multiplication is index chasing and never touches coordinates.  Only the
+simple reflections are computed from coordinates: every reflection is
+``s u s`` for a simple ``s`` and a reflection ``u`` nearer the simple ones,
+so every other root permutation, and every other ``refl_mult_table`` row,
+is conjugated from one already built by chasing integer indices.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
 element of a product holds one component per factor.  All fixed-space
 geometry runs on one span routine per factor kind (see ``_Factor``).
@@ -126,14 +130,14 @@ class VectorFactor(_Factor):
         self.rank = ir.rank
         self.form = roots.gram_matrix(ir)
         self.simples = Matrix.identity(self.rank).rows
-        self.roots: tuple[Vector, ...] = self._close(self.simples)
+        self.roots, images = self._close(self.simples)
         self.root_index = {v: i for i, v in enumerate(self.roots)}
         self.neg_of = tuple(
             self.root_index[tuple(-c for c in v)] for v in self.roots
         )
         self._classify_roots()
         self.num_reflections = len(self.positive_roots)
-        self._refl_perms = [None] * self.num_reflections
+        self._refl_perms = self._reflection_perms(images)
 
     # -- construction ------------------------------------------------------
 
@@ -143,13 +147,45 @@ class VectorFactor(_Factor):
         f_alpha = self.form.apply(alpha)
         return vec_scale(_TWO / _dot(alpha, f_alpha), f_alpha)
 
-    def _close(self, simples: Sequence[Vector]) -> tuple[Vector, ...]:
-        """The roots, in discovery order from the simple roots."""
+    def _close(
+        self, simples: Sequence[Vector]
+    ) -> tuple[tuple[Vector, ...], list[Vector]]:
+        """The roots, in discovery order from the simple roots, and the
+        image ``s_i(v)`` of each root ``v`` under each simple reflection,
+        at ``images[k * rank + i]`` for the ``k``-th root."""
         pairs = [(alpha, self._coroot(alpha)) for alpha in simples]
-        layers = breadth_first(set(), list(simples), lambda layer: (
-            _minus(v, _dot(cov, v), alpha) for v in layer for alpha, cov in pairs
-        ))
-        return tuple(chain.from_iterable(layers))
+        images: list[Vector] = []
+
+        def expand(layer: list) -> list[Vector]:
+            new = [
+                _minus(v, _dot(cov, v), alpha) for v in layer for alpha, cov in pairs
+            ]
+            images.extend(new)
+            return new
+
+        roots = tuple(chain.from_iterable(breadth_first(set(), list(simples), expand)))
+        return roots, images
+
+    def _reflection_perms(self, images: list[Vector]) -> list[Comp]:
+        """Every reflection's root permutation, by reflection id.
+
+        Only the simple reflections' come from coordinates: they are the
+        images ``_close`` computed anyway.  A non-simple positive root ``k``
+        was discovered as ``s_i`` of a root of the layer before, so some
+        simple ``i`` has ``p_i[k] < k``; that parent is positive too, as
+        ``s_i`` permutes the positive roots other than ``alpha_i``.  Then
+        ``s_k = s_i s_parent s_i`` (Humphreys, *Reflection Groups and Coxeter
+        Groups*, 1990, 1.14), so ``p_k = p_i . p_parent . p_i`` is index
+        chasing, and the parent's permutation is already built."""
+        rank = self.rank
+        image_ids = [self.root_index[v] for v in images]
+        simple = [tuple(image_ids[i::rank]) for i in range(rank)]
+        by_root = dict(zip(self.positive_roots, simple))
+        for k in self.positive_roots[rank:]:
+            p = next(p for p in simple if p[k] < k)
+            q = by_root[p[k]]
+            by_root[k] = tuple(p[q[x]] for x in p)
+        return [by_root[k] for k in self.positive_roots]
 
     def _classify_roots(self) -> None:
         # a root is positive exactly when its height, the sum of its
@@ -182,15 +218,9 @@ class VectorFactor(_Factor):
         return tuple(out)
 
     def refl_comp(self, t: int) -> Comp:
-        perm = self._refl_perms[t]
-        if perm is None:
-            alpha = self.root_vector(t)
-            cov = self._coroot(alpha)
-            perm = tuple(
-                self.root_index[_minus(v, _dot(cov, v), alpha)] for v in self.roots
-            )
-            self._refl_perms[t] = perm
-        return perm
+        """The root permutation of reflection ``t``, a lookup: the factor
+        builds them all at once (see ``_reflection_perms``)."""
+        return self._refl_perms[t]
 
     def conj_refl(self, a: int, b: int) -> int:
         """Local id of ``t_b t_a t_b``: the reflection at ``t_b``'s image of
@@ -567,16 +597,32 @@ class CoxeterGroup:
 
     @cached_property
     def refl_mult_table(self) -> list[list[int]]:
-        """``table[t][e]`` is the element id of ``reflection(t) * element(e)``."""
+        """``table[t][e]`` is the element id of ``reflection(t) * element(e)``.
+
+        Only the simple reflections' rows multiply element components.  A
+        breadth-first pass over ``refl_conj_table`` from the simple ids
+        reaches every other reflection ``v`` as ``s u s``, with ``s`` simple
+        and ``u``'s row already built, and then ``table[v][e] =
+        table[s][table[u][table[s][e]]]``.  It reaches them all, since each
+        reflection is conjugate to a simple one by simple reflections of its
+        own factor."""
         elems = self.elements()
         ids = self.element_ids()
-        table = []
-        for t in range(self.num_reflections):
-            rc = self.reflection(t).comps
-            table.append(
-                [ids[self.multiply_comps(rc, g.comps)] for g in elems]
-            )
-        return table
+        simple = self.simple_reflection_ids
+        rows = {}
+        for s in simple:
+            rc = self.reflection(s).comps
+            rows[s] = [ids[self.multiply_comps(rc, g.comps)] for g in elems]
+        conj = self.refl_conj_table
+        for layer in breadth_first(set(), list(simple), lambda layer: (
+            conj[u][s] for u in layer for s in simple
+        )):
+            for v in layer:
+                if v not in rows:
+                    s, u = next((s, conj[v][s]) for s in simple if conj[v][s] in rows)
+                    rs, ru = rows[s], rows[u]
+                    rows[v] = [rs[ru[x]] for x in rs]
+        return [rows[t] for t in range(self.num_reflections)]
 
     # -- subgroups ---------------------------------------------------------
 

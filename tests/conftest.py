@@ -4,6 +4,7 @@ import pytest
 
 from coxorbits.groups import build_group
 from coxorbits.linalg import Matrix, kernel_basis, rank, vec_is_zero
+from coxorbits.scalars import Scalar
 
 
 @lru_cache(maxsize=None)
@@ -22,10 +23,13 @@ def bfs_length_table(label: str) -> tuple[int, ...]:
     """Independent reflection-length oracle: breadth-first distance from the
     identity in the Cayley graph over the full reflection set.  Shares no
     logic with the geometric (fixed-space codimension) route, nor with the
-    package's ``breadth_first`` search, so its loop is written out here."""
+    package's ``breadth_first`` search, so its loop is written out here.
+    Its Cayley neighbours are component products, not ``refl_mult_table``
+    rows, so the table the length route reads is not its own oracle."""
     w = cached_group(label)
     ids = w.element_ids()
-    mult = w.refl_mult_table
+    elems = w.elements()
+    refl = [w.reflection(t) for t in w.reflection_ids()]
     dist = [-1] * len(ids)
     start = ids[w.identity.comps]
     dist[start] = 0
@@ -35,13 +39,29 @@ def bfs_length_table(label: str) -> tuple[int, ...]:
         d += 1
         new = []
         for e in frontier:
-            for row in mult:
-                x = row[e]
+            for r in refl:
+                x = ids[(r * elems[e]).comps]
                 if dist[x] < 0:
                     dist[x] = d
                     new.append(x)
         frontier = new
     return tuple(dist)
+
+
+def geometric_reflection_perm(f, t: int) -> tuple[int, ...]:
+    """Oracle for a vector factor's reflection permutation: the image of
+    each root ``v`` under ``s_alpha``, ``v - <v, alpha^vee> alpha`` with
+    ``alpha^vee = 2 F alpha / (alpha, F alpha)`` for the factor's Gram
+    form ``F``, computed in ``Scalar`` arithmetic for every root."""
+    alpha = f.root_vector(t)
+    f_alpha = f.form.apply(alpha)
+    norm = sum((a * b for a, b in zip(alpha, f_alpha)), Scalar.zero())
+    coroot = tuple(Scalar.from_int(2) * c / norm for c in f_alpha)
+    perm = []
+    for v in f.roots:
+        c = sum((a * b for a, b in zip(v, coroot)), Scalar.zero())
+        perm.append(f.root_index[tuple(a - c * b for a, b in zip(v, alpha))])
+    return tuple(perm)
 
 
 @lru_cache(maxsize=2)

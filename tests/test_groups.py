@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_space_codim
+from conftest import cached_group, fixed_space_codim, geometric_reflection_perm
 from coxorbits import build_group
 from coxorbits.absorder import parabolic_closure
 from coxorbits.errors import (
@@ -557,19 +557,66 @@ def test_conjugacy_single_class_in_a3():
 
 
 def test_refl_tables_consistent():
-    w = build_group("A3")
-    elems = w.elements()
-    ids = w.element_ids()
-    for t in range(w.num_reflections):
-        r = w.reflection(t)
-        for e, g in enumerate(elems[:8]):
-            assert w.refl_mult_table[t][e] == ids[(r * g).comps]
-    for a in range(w.num_reflections):
-        ta = w.reflection(a)
-        for b in range(w.num_reflections):
-            tb = w.reflection(b)
-            expected = tb * ta * tb
-            assert w.reflection(w.refl_conj_table[a][b]) == expected
+    # the product groups matter: conjugating by the other factor's simple
+    # reflections fixes a reflection, and every row must still be reached
+    for label in ["A3", "B3", "D4", "H3", "F4", "A2xI2(5)", "A1xI2(5)"]:
+        w = build_group(label)
+        elems = w.elements()
+        ids = w.element_ids()
+        table = w.refl_mult_table
+        assert len(table) == w.num_reflections
+        for t in range(w.num_reflections):
+            r = w.reflection(t)
+            assert table[t] == [ids[(r * g).comps] for g in elems], (label, t)
+        for a in range(w.num_reflections):
+            ta = w.reflection(a)
+            for b in range(w.num_reflections):
+                tb = w.reflection(b)
+                expected = tb * ta * tb
+                assert w.reflection(w.refl_conj_table[a][b]) == expected
+
+
+_EVERY = ["A1", "A5", "B4", "D4", "D6", "E6", "F4", "H3", "H4", "B2xA2xH3"]
+
+
+@pytest.mark.parametrize(
+    "label, step", [(label, 1) for label in _EVERY] + [("E7", 10), ("E8", 10)]
+)
+def test_reflection_perms_match_geometry(label, step):
+    # every 10th reflection of E7 and E8 keeps the test cheap
+    w = cached_group(label)
+    for t in range(0, w.num_reflections, step):
+        fi, local = w.locate_reflection(t)
+        f = w.factors[fi]
+        assert w.reflection(t).comps[fi] == f.refl_comp(local)
+        assert f.refl_comp(local) == geometric_reflection_perm(f, local), (label, t)
+
+
+@pytest.mark.parametrize("label", ["B3", "H3", "F4", "A2xI2(5)"])
+def test_only_simple_reflections_use_coordinates(label, monkeypatch):
+    counts = {"coroot": 0, "multiply": 0}
+    coroot = VectorFactor._coroot
+    multiply = CoxeterGroup.multiply_comps
+
+    def counted_coroot(self, alpha):
+        counts["coroot"] += 1
+        return coroot(self, alpha)
+
+    def counted_multiply(self, g, h):
+        counts["multiply"] += 1
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(VectorFactor, "_coroot", counted_coroot)
+    monkeypatch.setattr(CoxeterGroup, "multiply_comps", counted_multiply)
+    w = build_group(label)
+    vector_rank = sum(f.rank for f in w.factors if f.kind == "vector")
+    assert counts["coroot"] == vector_rank
+    w.elements()
+    counts["multiply"] = 0
+    w.refl_conj_table
+    w.refl_mult_table
+    assert counts["coroot"] == vector_rank
+    assert counts["multiply"] == len(w.simple_reflection_ids) * w.census_order
 
 
 def test_product_group_components():
