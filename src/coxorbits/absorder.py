@@ -23,7 +23,7 @@ Every factorization search is one lazy walk over ``refl_mult_table``
 fixed length, and full ones, whose reflection set generates W
 (:func:`full_factorization_codes`, the one filter for them).  The walk
 yields each factorization as one base-``|T|`` integer (:func:`encode`),
-which the Hurwitz orbit walks consume directly; :func:`factorizations` is
+which the Hurwitz layer counts and walks directly; :func:`factorizations` is
 its tuple view.  It alone rejects a negative length, for every view.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
@@ -237,9 +237,19 @@ def full_factorization_codes(
     """The codes from :func:`factorization_codes` whose reflection set
     generates W, lazily, in increasing order.  Generation is decided once
     per reflection set for the life of the call, by ``w.generates_whole``."""
+    return _full_codes(g, length, budget, {})
+
+
+def _full_codes(
+    g: GroupElement,
+    length: int,
+    budget: Budget | None,
+    memo: dict[frozenset[int], bool],
+) -> Iterator[int]:
+    """:func:`full_factorization_codes` deciding generation through
+    ``memo``, which may span several calls."""
     w = g.group
     n_refl = w.num_reflections
-    memo: dict[frozenset[int], bool] = {}
     for code in factorization_codes(g, length, budget):
         key = frozenset(decode(code, length, n_refl))
         if key not in memo:
@@ -366,12 +376,14 @@ def full_reflection_length(
     stops at the first at which :func:`full_factorization_codes` yields; a
     reduced factorization extended by pairs of simple reflections shows
     that ``l(g) + 2n`` always suffices.  Generation is decided on the
-    reflection set, so no linear algebra runs here.
+    reflection set, once per set across every length tried, so no linear
+    algebra runs here.
     """
     w = g.group
     base = length_table(w)[w.element_ids()[g.comps]]
+    memo: dict[frozenset[int], bool] = {}
     for length in range(base, base + 2 * w.rank + 1, 2):
         # code 0 is the factorization (0, ..., 0), so test for None
-        if next(full_factorization_codes(g, length, budget), None) is not None:
+        if next(_full_codes(g, length, budget, memo), None) is not None:
             return length
     raise AssertionError("no full factorization found in bound")

@@ -21,8 +21,9 @@ class Budget:
 
     ``max_tuples`` is the one work limit, applied to each counter on its
     own: ``max_tuples`` counts branch edges explored while enumerating
-    reflection tuples, ``max_states`` counts states visited in orbit walks,
-    and :class:`CapExceeded` names the counter that ran over.
+    reflection tuples, ``max_states`` counts the factorizations that orbits
+    cover (a partition charges each orbit's size, an orbit walk each state
+    it visits), and :class:`CapExceeded` names the counter that ran over.
     ``max_mem_mb`` converts to a cap on the total tracked units through a
     coarse bytes-per-unit estimate, deliberately avoiding live memory
     sampling so that capped runs stay deterministic.

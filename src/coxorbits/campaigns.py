@@ -64,8 +64,9 @@ class CampaignConfig:
     def item_budget(self) -> Budget | None:
         """A fresh budget per item, or None when every cap is unlimited.
 
-        ``max_tuples`` caps both the enumerated tuples and the orbit-walk
-        states, each counted on its own (see :class:`Budget`).
+        ``max_tuples`` caps both the enumerated tuples and the
+        factorizations that orbits cover, each counted on its own (see
+        :class:`Budget`).
         """
         caps = (self.max_tuples, self.max_mem_mb, self.timeout_s)
         if all(x is None for x in caps):

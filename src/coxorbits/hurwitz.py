@@ -14,19 +14,26 @@ factorization one integer in base ``N = |T|`` with the first factor most
 significant (:func:`~coxorbits.absorder.encode`), so integer order is
 lexicographic order.  A left move at position ``i`` reads the pair
 ``(a, b)`` as one base-``N**2`` digit and adds a per-group table entry times
-that digit's place value, with no tuple built.  Orbits are walked
+that digit's place value, with no tuple built.  Single orbits are walked
 breadth-first using left moves only: on a finite set the monoid generated by
 bijections is the group they generate, so inverse moves reach nothing new.
 Left normal shape is a digit test too: the leading digits must be doubled
 pairs ``a N + a``.
 
-A partition is one lazy pass over
-:func:`~coxorbits.absorder.factorization_codes`: each code not yet in an
-orbit seeds the walk of its own orbit and, arriving in increasing order, is
-that orbit's least member.  No copy of the ground set is kept; one count at
-the end checks that orbits cover it.  Only representatives and witnesses
-are decoded.  Ground sets of full factorizations are the codes of
-:func:`~coxorbits.absorder.full_factorization_codes`.
+A partition does not walk factorizations.  Write ``X_n(e)`` for the
+factorizations with ``n`` factors of the element with id ``e``; it is the
+disjoint union of the blocks ``{t} x X_{n-1}(t e)``.  The moves
+``sigma_2 .. sigma_{n-1}`` fix the first factor, so their orbits are the
+blocks ``{t} x O`` with ``O`` a Hurwitz orbit one level down.  The move
+``sigma_1`` commutes with ``sigma_3 .. sigma_{n-1}`` and leaves the tail
+alone, so it maps each sub-block ``{t1} x {t2} x Q`` (``Q`` an orbit of
+``X_{n-2}(t2 t1 e)``) onto ``{t2} x {t2 t1 t2} x Q``; one edge per sub-block
+joins the blocks into the orbits (:func:`_orbit_blocks`, memoized per
+group).  The partition still enumerates its ground set with
+:func:`~coxorbits.absorder.factorization_codes`, or
+:func:`~coxorbits.absorder.full_factorization_codes` for full
+factorizations, keeping only its count, and checks that the orbits cover
+it.  Only representatives and witnesses are decoded.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -37,7 +44,8 @@ campaigns measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple
 
 from .absorder import (
     decode,
@@ -127,20 +135,32 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
     """Invariant of the orbit through ``factors`` (computable at any member).
 
     The class of a factor inside the generated subgroup is its conjugation
-    closure under the support, labelled by its least serialization."""
-    support = sorted(set(factors))
-    sub = w.closure([w.reflection(t) for t in support])
-    serial = w.reflection_serializations
-    labels = {
-        t: min(serial[x] for x in w.reflection_closure([t], support))
-        for t in support
-    }
-    multiset = tuple(sorted(labels[t] for t in factors))
+    closure under the support, labelled by its least serialization.  All
+    but the multiset depends on the support alone (:func:`_support_data`)."""
+    key, order, labels = _support_data(w, frozenset(factors))
     return OrbitInvariant(
-        subgroup_key=sub.canonical_key,
-        subgroup_order=sub.order,
-        class_multiset=multiset,
+        subgroup_key=key,
+        subgroup_order=order,
+        class_multiset=tuple(sorted(labels[t] for t in factors)),
     )
+
+
+def _support_data(
+    w: CoxeterGroup, support: frozenset[int]
+) -> tuple[str, int, dict[int, str]]:
+    """The generated subgroup's key and order, and each support reflection's
+    class label within it (cached per group and support)."""
+    memo = w._cache.setdefault("support_data", {})
+    if support not in memo:
+        gens = sorted(support)
+        sub = w.closure([w.reflection(t) for t in gens])
+        serial = w.reflection_serializations
+        labels = {
+            t: min(serial[x] for x in w.reflection_closure([t], gens))
+            for t in gens
+        }
+        memo[support] = (sub.canonical_key, sub.order, labels)
+    return memo[support]
 
 
 def _move_deltas(w: CoxeterGroup) -> list[int]:
@@ -201,13 +221,18 @@ def _walk_orbit(
     A left move at position ``i`` reads the pair ``c // s_i % N**2`` with
     ``s_i = N**(length - 2 - i)`` and adds its move delta times ``s_i``.
 
-    The innermost loop of the partition campaigns, so written out rather
-    than run on ``groups.breadth_first``: that primitive calls ``expand``
-    on each layer and rebuilds the layer as a list of the states not seen,
-    while here the seen test, the layer list and the shape test share one
-    pass over the moves (on the primitive, with tuple states, the
-    ``orbits`` benchmark ran 4 % slower end to end and 8 % slower at the
-    90th-percentile item).
+    It serves :func:`hurwitz_orbit` and :func:`find_lr_witness`, which need
+    no element table and so work on E7 and E8 too, where
+    :func:`_orbit_blocks` cannot run, and :func:`_transitive`, where a block
+    version measured slower on the ``classify`` benchmark (0.071-0.120 s
+    against 0.064-0.093 s of item time, three runs each on a 2-core VM). It
+    is written out rather than run on ``groups.breadth_first``: that
+    primitive calls ``expand`` on each layer and rebuilds the layer as a
+    list of the states not seen, while here the seen test, the layer list
+    and the shape test share one pass over the moves (on the primitive, with
+    tuple states, the ``orbits`` benchmark ran 4 % slower end to end and 8 %
+    slower at the 90th-percentile item, when partitions still walked their
+    orbits).
     """
     delta = _move_deltas(w)
     n_refl = w.num_reflections
@@ -307,6 +332,98 @@ def enumerate_full_factorizations(
     return [decode(code, n, n_refl) for code in codes]
 
 
+class _Blocks(NamedTuple):
+    """The Hurwitz orbits on ``X_n(e)``, numbered by their least codes:
+    each orbit's least code, size and least left-normal-shape code (``None``
+    when it has no such member), and ``index[t][j]``, the orbit holding
+    ``{t} x (orbit j of X_{n-1}(t e))``."""
+
+    least: list[int]
+    sizes: list[int]
+    shaped: list[int | None]
+    index: list[list[int]]
+
+
+def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
+    """The Hurwitz orbits on the factorizations with ``n >= 0`` factors of
+    the element with id ``e``, from those one and two levels down (cached
+    per group); none when ``n < l(e)`` or ``n - l(e)`` is odd.
+
+    The blocks ``{t} x O``, ``O`` an orbit of ``X_{n-1}(t e)``, are the
+    orbits of ``sigma_2 .. sigma_{n-1}``.  For each ``t1``, ``t2`` and orbit
+    ``q`` of ``X_{n-2}(t2 t1 e)``, ``sigma_1`` joins the block holding
+    ``(t1, t2, q)`` to the one holding ``(t2, t2 t1 t2, q)``; the joined
+    blocks are the orbits.  Blocks come in increasing order of their least
+    codes, so an orbit's first block carries its least code.  At zero
+    excess ``n - l(e)`` every member has left normal shape; otherwise the
+    shaped members are ``(t, t, y)`` with ``y`` shaped in ``X_{n-2}(e)``.
+
+    This is a table build, so it charges no budget.  Its memo keeps a few
+    integers per orbit of each ``(e, n)`` reached, never a factorization.
+    """
+    memo = w._cache.setdefault("orbit_blocks", {})
+    if (e, n) in memo:
+        return memo[e, n]
+    lengths = length_table(w)
+    if n < lengths[e] or (n - lengths[e]) % 2:
+        return _Blocks([], [], [], [])
+    if n == 0:  # the empty factorization of the identity
+        memo[e, n] = _Blocks([0], [1], [0], [])
+        return memo[e, n]
+    mult = w.refl_mult_table
+    conj = w.refl_conj_table
+    n_refl = w.num_reflections
+    scale = n_refl ** (n - 1)
+    children = [_orbit_blocks(w, mult[t][e], n - 1) for t in range(n_refl)]
+    offset = list(accumulate((len(c.sizes) for c in children), initial=0))
+    parent = list(range(offset[-1]))
+
+    def find(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    for t1, child in enumerate(children):
+        row = conj[t1]
+        for t2, sub in enumerate(child.index):
+            if sub and t2 != t1:  # (t, t, q) is fixed by sigma_1
+                image = children[t2].index[row[t2]]
+                for q, j in enumerate(sub):
+                    a = find(offset[t1] + j)
+                    b = find(offset[t2] + image[q])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+    least: list[int] = []
+    sizes: list[int] = []
+    block_orbit: list[int] = []
+    for t, child in enumerate(children):
+        for j, size in enumerate(child.sizes):
+            root = find(offset[t] + j)
+            if root == len(block_orbit):  # the root is its orbit's least block
+                block_orbit.append(len(least))
+                least.append(t * scale + child.least[j])
+                sizes.append(size)
+            else:
+                block_orbit.append(block_orbit[root])
+                sizes[block_orbit[root]] += size
+    index = [block_orbit[offset[t]: offset[t + 1]] for t in range(n_refl)]
+    if n == lengths[e]:
+        shaped: list[int | None] = list(least)
+    else:
+        shaped = [None] * len(least)
+        lower = _orbit_blocks(w, e, n - 2)
+        for t, child in enumerate(children):
+            doubled = t * (scale + scale // n_refl)
+            for j, y in zip(child.index[t], lower.shaped):
+                if y is not None:
+                    o = index[t][j]
+                    if shaped[o] is None or doubled + y < shaped[o]:
+                        shaped[o] = doubled + y
+    memo[e, n] = _Blocks(least, sizes, shaped, index)
+    return memo[e, n]
+
+
 def partition_into_orbits(
     g: GroupElement,
     length: int | None = None,
@@ -316,41 +433,46 @@ def partition_into_orbits(
     """Partition the factorizations of ``g`` at one length into Hurwitz
     orbits, sorted by their minimal representatives.
 
-    One lazy pass over the codes: each factorization that no earlier orbit
-    holds seeds a walk.  Seeds arrive in lexicographic order and orbits are
-    disjoint, so the seed is its orbit's least member and its
-    representative; only seeds and witnesses are decoded.  Orbits covering
-    more codes than were enumerated (a walk left the ground set) raise
+    The orbits come from :func:`_orbit_blocks`, with each orbit's least
+    member as its representative and its least member in left normal
+    shape as its witness; only these are decoded.  The ground set is
+    enumerated once, in increasing order, and only counted, charging
+    ``max_tuples`` as it goes; the orbits kept are those whose least member
+    it yields, and each charges ``max_states`` with its size.  Kept orbits
+    that do not cover exactly the enumerated codes raise
     :class:`BadFactorization`, as does a negative length.
 
     With ``full_only`` the ground set is restricted to factorizations whose
-    factors generate the whole group; moves never leave that set.
+    factors generate the whole group.  Moves keep the generated subgroup,
+    so an orbit lies in it exactly when its least member does.
     """
     w = g.group
     n_refl = w.num_reflections
-    base = length_table(w)[w.element_ids()[g.comps]]
     n, codes = _ground_set(g, length, budget, full_only)
-    in_shape = _lr_shape(n_refl, n, base)
-    assigned: set[int] = set()
+    blocks = _orbit_blocks(w, w.element_ids()[g.comps], n)
+    first = {code: o for o, code in enumerate(blocks.least)}
     enumerated = 0
-    orbits = []
-    for seed in codes:
+    kept = []
+    for code in codes:
         enumerated += 1
-        if seed in assigned:
-            continue
-        seen, witness = _walk_orbit(w, seed, n, budget, in_shape)
-        assigned |= seen
-        rep = decode(seed, n, n_refl)
+        if code in first:
+            kept.append(first[code])
+    orbits = []
+    for o in kept:
+        size, shaped = blocks.sizes[o], blocks.shaped[o]
+        if budget is not None:
+            budget.charge("max_states", size)
+        rep = decode(blocks.least[o], n, n_refl)
         orbits.append(
             HurwitzOrbit(
                 representative=Factorization(w, rep),
-                size=len(seen),
+                size=size,
                 invariant=orbit_invariant(w, rep),
-                lr_witness=None if witness is None else decode(witness, n, n_refl),
+                lr_witness=None if shaped is None else decode(shaped, n, n_refl),
             )
         )
-    if len(assigned) != enumerated:
-        raise BadFactorization("orbit escaped its enumeration ground set")
+    if sum(o.size for o in orbits) != enumerated:
+        raise BadFactorization("orbits do not cover their ground set")
     return orbits
 
 
@@ -371,7 +493,8 @@ def verify_conjecture(
     g: GroupElement, length: int, budget: Budget | None = None
 ) -> ConjectureReport:
     """Partition all length-``length`` factorizations of ``g`` into orbits
-    in one lazy pass and test that distinct orbits carry distinct invariants.
+    (:func:`partition_into_orbits`) and test that distinct orbits carry
+    distinct invariants.
 
     The bijection is guaranteed when ``g`` is parabolic quasi-Coxeter; for
     other elements the verdict is data, not a theorem.  ``g`` is not

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_reduced_factorizations, cached_group
-from coxorbits import hurwitz
+from coxorbits import build_group, hurwitz
 from coxorbits.absorder import encode, is_parabolic_quasi_coxeter, reflection_length
 from coxorbits.budget import Budget
 from coxorbits.errors import (
@@ -389,16 +389,76 @@ def test_orbit_records_cover_all_factorizations():
 
 def test_partition_rejects_an_orbit_outside_its_ground_set(monkeypatch):
     w = cached_group("A2")
-    walk = hurwitz._walk_orbit
+    blocks = hurwitz._orbit_blocks
 
-    def escaping_walk(*args):
-        seen, witness = walk(*args)
-        # the code of (0, 0, 0, 0), a factorization of 1
-        return seen | {encode((0, 0, 0, 0), w.num_reflections)}, witness
+    def inflated_blocks(w, e, n):
+        found = blocks(w, e, n)
+        if n < 4:  # the levels below stay exact, and so does the memo
+            return found
+        # one orbit claims a member that the enumeration never yields
+        return found._replace(sizes=[found.sizes[0] + 1, *found.sizes[1:]])
 
-    monkeypatch.setattr(hurwitz, "_walk_orbit", escaping_walk)
+    monkeypatch.setattr(hurwitz, "_orbit_blocks", inflated_blocks)
     with pytest.raises(BadFactorization):
         partition_into_orbits(coxeter_element(w), 4)
+
+
+@pytest.mark.parametrize(
+    "label,part,parts",
+    [("A3", 0, 1), ("B3", 0, 1), ("B2xA1", 0, 1), ("I2(5)", 0, 1)]
+    + [("H3", part, 8) for part in range(8)],
+)
+def test_block_partition_matches_two_sided_oracle(label, part, parts):
+    """On every element (H3's split in eight parts) at lengths ``l`` and
+    ``l + 2``, the block partition has the oracle orbits' sizes and least
+    members, and its witness is the least member of the oracle orbit that
+    leads with doubled pairs."""
+    w = cached_group(label)
+    for g in w.elements()[part::parts]:
+        k = reflection_length(g)
+        for n in (k, k + 2):
+            for orbit in partition_into_orbits(g, n):
+                oracle = two_sided_orbit(orbit.representative)
+                assert orbit.size == len(oracle)
+                assert orbit.representative.factors == min(oracle)
+                shaped = [
+                    m for m in oracle
+                    if all(m[2 * j] == m[2 * j + 1] for j in range((n - k) // 2))
+                ]
+                assert orbit.lr_witness == min(shaped, default=None)
+
+
+def test_block_partition_matches_walks_on_d4():
+    """At length ``l + 2`` on every element of D4, the code walk from each
+    orbit's representative finds the orbit's size."""
+    w = cached_group("D4")
+    for g in w.elements():
+        n = reflection_length(g) + 2
+        for orbit in partition_into_orbits(g, n):
+            start = encode(orbit.representative.factors, w.num_reflections)
+            seen, _ = hurwitz._walk_orbit(w, start, n, None, None)
+            assert len(seen) == orbit.size
+
+
+@pytest.mark.parametrize("label", ["B3", "H3"])
+def test_block_partition_independent_of_element_order(label):
+    """The block memo fills in whatever order elements are asked for: on
+    two freshly built groups, forward and reverse element order give the
+    same partitions."""
+
+    def partitions(order):
+        w = build_group(label)
+        found = {}
+        for g in order(w.elements()):
+            k = reflection_length(g)
+            found[g.serialize()] = [
+                (o.representative.factors, o.size, o.invariant, o.lr_witness)
+                for n in (k, k + 2)
+                for o in partition_into_orbits(g, n)
+            ]
+        return found
+
+    assert partitions(list) == partitions(lambda els: els[::-1])
 
 
 def test_partition_rejects_negative_length():
