@@ -51,6 +51,8 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
     if heavy:
         min_min.append("F4")
         runs.append(("B3", "min-full-transitivity", {}))
+        for campaign in ("conjecture", "lr-normal-form"):
+            runs.append(("F4", campaign, {"offsets": (0, 2)}))
     for label in min_min:
         runs.append((label, "min-equals-min", {}))
     for m in (30, 42, 60, 66, 70, 105):

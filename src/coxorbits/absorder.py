@@ -23,8 +23,11 @@ Every factorization search is one lazy walk over ``refl_mult_table``
 fixed length, and full ones, whose reflection set generates W
 (:func:`full_factorization_codes`, the one filter for them).  The walk
 yields each factorization as one base-``|T|`` integer (:func:`encode`),
-which the Hurwitz layer counts and walks directly; :func:`factorizations` is
-its tuple view.  It alone rejects a negative length, for every view.
+which the Hurwitz layer walks directly; :func:`factorizations` is its tuple
+view.  :func:`walk_size` counts the walk's codes and visits without walking,
+by a recursion cached per group; the Hurwitz layer counts its ground sets
+with it.  The walk and its size share the one rule that rejects a negative
+length, for every view.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .budget import Budget
 from .errors import BadFactorization, GroupMismatch
@@ -140,6 +143,18 @@ def decode(code: int, length: int, n_refl: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _walk_root(g: GroupElement, length: int | None) -> tuple[int, int]:
+    """The element id of ``g`` and the number of factors, by default its
+    reflection length: the one place a negative length raises
+    :class:`BadFactorization`, for the walk and for its size."""
+    w = g.group
+    start = w.element_ids()[g.comps]
+    n = length_table(w)[start] if length is None else length
+    if n < 0:
+        raise BadFactorization(f"no factorizations of length {n}")
+    return start, n
+
+
 def factorization_codes(
     g: GroupElement, length: int | None = None, budget: Budget | None = None
 ) -> Iterator[int]:
@@ -159,23 +174,20 @@ def factorization_codes(
     The walk is depth first over paths, not states, so it does not run on
     ``groups.breadth_first``; an explicit stack keeps it free of a
     generator frame per node.  Each node and each leaf charges
-    ``max_tuples`` with ``|T|``, in depth-first order.
+    ``max_tuples`` with ``|T|``, in depth-first order; :func:`walk_size`
+    counts both without walking.
     """
     w = g.group
+    start, n = _walk_root(g, length)
     lengths = length_table(w)
     mult = w.refl_mult_table
     n_refl = w.num_reflections
-    ids = w.element_ids()
-    start = ids[g.comps]
-    n = lengths[start] if length is None else length
-    if n < 0:
-        raise BadFactorization(f"no factorizations of length {n}")
     if n < lengths[start] or (n - lengths[start]) % 2:
         return
     if n == 0:  # only the identity has a factorization of length 0
         yield 0
         return
-    identity = ids[w.identity.comps]
+    identity = w.element_ids()[w.identity.comps]
     reflection_of = {mult[t][identity]: t for t in range(n_refl)}
     if n == 1:
         if budget is not None:
@@ -209,16 +221,68 @@ def factorization_codes(
             yield code + pair
 
 
+class WalkSize(NamedTuple):
+    """The size of one run of :func:`factorization_codes`: the codes it
+    yields, and the nodes and leaves it visits, each of which charges
+    ``max_tuples`` with ``|T|``."""
+
+    codes: int
+    visits: int
+
+
+def walk_size(
+    g: GroupElement, length: int | None = None, budget: Budget | None = None
+) -> WalkSize:
+    """The size of the walk :func:`factorization_codes` makes for ``g`` and
+    ``length``, counted without walking; with a budget, it charges the
+    walk's ``max_tuples`` total at once.
+
+    Write ``N(e, n)`` for the walk from the element with id ``e`` with
+    ``n`` slots left.  It is empty when ``n < l(e)`` or ``n - l(e)`` is
+    odd.  Otherwise it visits the node and steps to ``(t e, n - 1)``
+    exactly when ``l(t e) < n``, so ``N(e, n)`` sums ``N(t e, n - 1)``
+    over those ``t``, plus one visit.  At ``n = 0``, which only the
+    identity reaches, the walk yields one code and visits nothing, so two
+    slots left count the ``t`` with ``l(t e) = 1``, one leaf each, as the
+    walker does.  A walk that visits nothing charges nothing.
+    """
+    start, n = _walk_root(g, length)
+    w = g.group
+    size = _walk_size(w, start, n)
+    if budget is not None and size.visits:
+        budget.charge("max_tuples", w.num_reflections * size.visits)
+    return size
+
+
+def _walk_size(w: CoxeterGroup, e: int, n: int) -> WalkSize:
+    """:func:`walk_size` on element ids, for ``n >= 0`` (cached per
+    group)."""
+    memo = w._cache.setdefault("walk_sizes", {})
+    if (e, n) in memo:
+        return memo[e, n]
+    lengths = length_table(w)
+    if n < lengths[e] or (n - lengths[e]) % 2:
+        return WalkSize(0, 0)
+    if n == 0:
+        return WalkSize(1, 0)
+    codes = visits = 0
+    for row in w.refl_mult_table:
+        if lengths[row[e]] < n:
+            below = _walk_size(w, row[e], n - 1)
+            codes += below.codes
+            visits += below.visits
+    memo[e, n] = WalkSize(codes, visits + 1)
+    return memo[e, n]
+
+
 def factorizations(
     g: GroupElement, length: int | None = None, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
     """The reflection factorizations of ``g`` with ``length`` factors
     (default: its reflection length) as tuples of global reflection ids,
     lazily, in lexicographic order: :func:`factorization_codes`, decoded."""
-    w = g.group
-    if length is None:
-        length = length_table(w)[w.element_ids()[g.comps]]
-    n_refl = w.num_reflections
+    _, length = _walk_root(g, length)
+    n_refl = g.group.num_reflections
     for code in factorization_codes(g, length, budget):
         yield decode(code, length, n_refl)
 

@@ -20,8 +20,9 @@ class Budget:
     """Caps on search work.  Counters accumulate per instance.
 
     ``max_tuples`` is the one work limit, applied to each counter on its
-    own: ``max_tuples`` counts branch edges explored while enumerating
-    reflection tuples, ``max_states`` counts the factorizations that orbits
+    own: ``max_tuples`` counts branch edges the factorization walker
+    explores, or would explore where a ground set is counted without
+    walking, ``max_states`` counts the factorizations that orbits
     cover (a partition charges each orbit's size, an orbit walk each state
     it visits), and :class:`CapExceeded` names the counter that ran over.
     ``max_mem_mb`` converts to a cap on the total tracked units through a

@@ -29,11 +29,12 @@ blocks ``{t} x O`` with ``O`` a Hurwitz orbit one level down.  The move
 alone, so it maps each sub-block ``{t1} x {t2} x Q`` (``Q`` an orbit of
 ``X_{n-2}(t2 t1 e)``) onto ``{t2} x {t2 t1 t2} x Q``; one edge per sub-block
 joins the blocks into the orbits (:func:`_orbit_blocks`, memoized per
-group).  The partition still enumerates its ground set with
-:func:`~coxorbits.absorder.factorization_codes`, or
+group).  The partition counts its ground set without walking it, by
+:func:`~coxorbits.absorder.walk_size`, or enumerates it with
 :func:`~coxorbits.absorder.full_factorization_codes` for full
-factorizations, keeping only its count, and checks that the orbits cover
-it.  Only representatives and witnesses are decoded.
+factorizations; it checks that the orbits cover it and that each
+representative and witness multiplies to ``g``.  Only representatives and
+witnesses are decoded.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .absorder import (
     decode,
@@ -56,6 +57,7 @@ from .absorder import (
     full_reflection_length,
     length_table,
     reflection_length,
+    walk_size,
 )
 from .budget import Budget
 from .errors import BadFactorization, IndexOutOfRange, ShapeNotFound
@@ -288,22 +290,27 @@ def hurwitz_orbit(
     )
 
 
-def _ground_set(
+def _ground_length(
     g: GroupElement, length: int | None, budget: Budget | None, full_only: bool
-) -> tuple[int, Iterator[int]]:
-    """The length and the codes of the factorizations of ``g`` with
-    ``length`` factors, lazily, in increasing (lexicographic) order.  With
-    ``full_only`` only those whose factors generate the whole group, and the
-    length defaults to the full reflection length."""
-    if length is None:
-        w = g.group
-        length = (
-            full_reflection_length(g, budget)
-            if full_only
-            else length_table(w)[w.element_ids()[g.comps]]
-        )
-    codes = full_factorization_codes if full_only else factorization_codes
-    return length, codes(g, length, budget)
+) -> int:
+    """``length``, by default the reflection length of ``g``, or with
+    ``full_only`` its full reflection length."""
+    if length is not None:
+        return length
+    if full_only:
+        return full_reflection_length(g, budget)
+    w = g.group
+    return length_table(w)[w.element_ids()[g.comps]]
+
+
+def _product_id(w: CoxeterGroup, factors: tuple[int, ...]) -> int:
+    """The element id of the product of ``factors``, folding
+    ``refl_mult_table`` rows from the identity."""
+    mult = w.refl_mult_table
+    x = w.element_ids()[w.identity.comps]
+    for t in reversed(factors):
+        x = mult[t][x]
+    return x
 
 
 def enumerate_factorizations(
@@ -327,8 +334,9 @@ def enumerate_full_factorizations(
     """Factorizations of ``g`` whose factors generate the whole group, at the
     given length (default: the minimum possible, the full reflection
     length)."""
-    n, codes = _ground_set(g, length, budget, full_only=True)
+    n = _ground_length(g, length, budget, full_only=True)
     n_refl = g.group.num_reflections
+    codes = full_factorization_codes(g, n, budget)
     return [decode(code, n, n_refl) for code in codes]
 
 
@@ -436,42 +444,54 @@ def partition_into_orbits(
     The orbits come from :func:`_orbit_blocks`, with each orbit's least
     member as its representative and its least member in left normal
     shape as its witness; only these are decoded.  The ground set is
-    enumerated once, in increasing order, and only counted, charging
-    ``max_tuples`` as it goes; the orbits kept are those whose least member
-    it yields, and each charges ``max_states`` with its size.  Kept orbits
-    that do not cover exactly the enumerated codes raise
-    :class:`BadFactorization`, as does a negative length.
+    counted, not walked: :func:`~coxorbits.absorder.walk_size` gives its
+    size and charges ``max_tuples`` with the walker's total at once, and
+    then each orbit charges ``max_states`` with its size.  Orbits whose
+    sizes do not add up to that count, or whose representative or witness
+    is not a factorization of ``g``, raise :class:`BadFactorization`, as
+    does a negative length.
 
     With ``full_only`` the ground set is restricted to factorizations whose
-    factors generate the whole group.  Moves keep the generated subgroup,
-    so an orbit lies in it exactly when its least member does.
+    factors generate the whole group, and it is enumerated by
+    :func:`~coxorbits.absorder.full_factorization_codes`, since generation
+    is decided per reflection set.  Moves keep the generated subgroup, so
+    an orbit lies in it exactly when the enumeration yields its least
+    member.
     """
     w = g.group
     n_refl = w.num_reflections
-    n, codes = _ground_set(g, length, budget, full_only)
-    blocks = _orbit_blocks(w, w.element_ids()[g.comps], n)
-    first = {code: o for o, code in enumerate(blocks.least)}
-    enumerated = 0
-    kept = []
-    for code in codes:
-        enumerated += 1
-        if code in first:
-            kept.append(first[code])
+    e = w.element_ids()[g.comps]
+    n = _ground_length(g, length, budget, full_only)
+    blocks = _orbit_blocks(w, e, n)
+    if full_only:
+        first = {code: o for o, code in enumerate(blocks.least)}
+        total = 0
+        kept = []
+        for code in full_factorization_codes(g, n, budget):
+            total += 1
+            if code in first:
+                kept.append(first[code])
+    else:
+        total = walk_size(g, n, budget).codes
+        kept = range(len(blocks.least))
     orbits = []
     for o in kept:
         size, shaped = blocks.sizes[o], blocks.shaped[o]
         if budget is not None:
             budget.charge("max_states", size)
         rep = decode(blocks.least[o], n, n_refl)
+        witness = None if shaped is None else decode(shaped, n, n_refl)
+        if any(_product_id(w, f) != e for f in (rep, witness) if f is not None):
+            raise BadFactorization("an orbit lies outside its ground set")
         orbits.append(
             HurwitzOrbit(
                 representative=Factorization(w, rep),
                 size=size,
                 invariant=orbit_invariant(w, rep),
-                lr_witness=None if shaped is None else decode(shaped, n, n_refl),
+                lr_witness=witness,
             )
         )
-    if sum(o.size for o in orbits) != enumerated:
+    if sum(o.size for o in orbits) != total:
         raise BadFactorization("orbits do not cover their ground set")
     return orbits
 
@@ -512,15 +532,12 @@ def verify_conjecture(
 
 
 def _transitive(
-    w: CoxeterGroup, ground: tuple[int, Iterator[int]], budget: Budget | None
+    w: CoxeterGroup, n: int, first: int | None, total: int, budget: Budget | None
 ) -> bool:
-    """Whether one orbit is all of the coded ground set.  Moves keep the
-    product, the length and the generated subgroup, so the orbit of the
-    first code never leaves the ground set and its size decides.  The
-    ground set is counted, not kept."""
-    n, codes = ground
-    first = next(codes, None)
-    total = sum(1 for _ in codes) + (first is not None)
+    """Whether one orbit is all of a coded ground set of ``total``
+    factorizations with ``n`` factors, ``first`` among them.  Moves keep
+    the product, the length and the generated subgroup, so the orbit of
+    ``first`` never leaves the ground set and its size decides."""
     if total <= 1:
         return True
     seen, _ = _walk_orbit(w, first, n, budget, None)
@@ -531,16 +548,24 @@ def hurwitz_transitive_on_reduced(
     g: GroupElement, budget: Budget | None = None
 ) -> bool:
     """Whether the Hurwitz action is transitive on the reduced reflection
-    factorizations of ``g``."""
-    return _transitive(g.group, _ground_set(g, None, budget, False), budget)
+    factorizations of ``g``.  The ground set is counted by
+    :func:`~coxorbits.absorder.walk_size`, which charges the walker's
+    ``max_tuples`` total at once, so its first code is taken uncharged."""
+    n = _ground_length(g, None, budget, False)
+    total = walk_size(g, n, budget).codes
+    return _transitive(g.group, n, next(factorization_codes(g, n)), total, budget)
 
 
 def hurwitz_transitive_on_min_full(
     g: GroupElement, budget: Budget | None = None
 ) -> bool:
     """Whether the Hurwitz action is transitive on the minimum-length full
-    reflection factorizations of ``g``."""
-    return _transitive(g.group, _ground_set(g, None, budget, True), budget)
+    reflection factorizations of ``g``, enumerated and counted."""
+    n = _ground_length(g, None, budget, True)
+    codes = full_factorization_codes(g, n, budget)
+    first = next(codes, None)
+    total = sum(1 for _ in codes) + (first is not None)
+    return _transitive(g.group, n, first, total, budget)
 
 
 def find_lr_witness(

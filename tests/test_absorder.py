@@ -8,6 +8,8 @@ quasi-Coxeter classifiers, checked against independent oracles:
   elsewhere, and lazy under a budget,
 * factorization codes: ``decode`` inverts ``encode``, code order is
   lexicographic order, and the decoded codes equal product filtering,
+* the walk's size: its code count and ``max_tuples`` charge equal what
+  the walker yields and charges,
 * parabolic closure membership vs fixed-space containment of matrices,
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
@@ -44,6 +46,7 @@ from coxorbits.absorder import (
     quasi_coxeter_elements,
     reduced_factorizations,
     reflection_length,
+    walk_size,
 )
 from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
@@ -315,7 +318,8 @@ def test_factorizations_empty_at_impossible_lengths(label):
 
 def test_negative_length_raises_in_the_walker():
     w = cached_group("A2")
-    for view in (factorization_codes, factorizations, full_factorization_codes):
+    views = (factorization_codes, factorizations, full_factorization_codes, walk_size)
+    for view in views:
         with pytest.raises(BadFactorization):
             list(view(w.identity, -1))
 
@@ -379,6 +383,47 @@ def test_factorization_codes_match_brute_force(label):
         for g in by_length[n]:
             ours = [decode(c, n, n_refl) for c in factorization_codes(g, n)]
             assert ours == brute_reduced_factorizations(g, n), (g, n)
+
+
+# -- the walk's size --------------------------------------------------------
+
+
+def walked(g, n):
+    """Oracle: walk the codes of ``g`` at length ``n`` under a budget and
+    report their count and the ``max_tuples`` charged."""
+    budget = Budget()
+    codes = sum(1 for _ in factorization_codes(g, n, budget))
+    return codes, budget.spent.get("max_tuples", 0)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "B2xA1", "I2(5)", "H3"])
+def test_walk_size_matches_the_walker(label):
+    """On every element at lengths 0, 1, ``l``, ``l + 2`` and ``l + 4``
+    (H3 without ``l + 4``), the counted codes equal the walked ones,
+    ``|T|`` times the visits equals the walker's charge, and charging
+    ``walk_size`` spends the same."""
+    offsets = (0, 2) if label == "H3" else (0, 2, 4)
+    w = cached_group(label)
+    n_refl = w.num_reflections
+    for g in w.elements():
+        k = reflection_length(g)
+        for n in {0, 1, *(k + o for o in offsets)}:
+            codes, charged = walked(g, n)
+            size = walk_size(g, n)
+            assert (size.codes, n_refl * size.visits) == (codes, charged), (g, n)
+            budget = Budget()
+            walk_size(g, n, budget)
+            assert budget.spent.get("max_tuples", 0) == charged
+
+
+def test_walk_size_defaults_to_the_reflection_length():
+    w = cached_group("A3")
+    c = coxeter_element(w)
+    assert walk_size(c) == walk_size(c, 3)
+    assert walk_size(c).codes == 16
+    assert walk_size(w.identity, 0) == (1, 0)
+    assert walk_size(w.reflection(0), 1) == (1, 1)
+    assert walk_size(w.identity, 1) == (0, 0)
 
 
 # -- quasi-Coxeter classification ------------------------------------------

@@ -403,6 +403,29 @@ def test_partition_rejects_an_orbit_outside_its_ground_set(monkeypatch):
         partition_into_orbits(coxeter_element(w), 4)
 
 
+@pytest.mark.parametrize("field", ["least", "shaped"])
+def test_partition_rejects_an_orbit_that_does_not_multiply_to_g(monkeypatch, field):
+    """The first orbit's representative (or witness) becomes the code 0,
+    the factorization ``(0, 0, 0, 0)`` of the identity, while sizes and
+    the count stay exact: only the product check can catch it."""
+    w = cached_group("A2")
+    blocks = hurwitz._orbit_blocks
+    c = coxeter_element(w)
+    assert not c.is_identity
+    assert getattr(blocks(w, w.element_ids()[c.comps], 4), field)[0] != 0
+
+    def foreign_blocks(w, e, n):
+        found = blocks(w, e, n)
+        if n < 4:  # the levels below stay exact, and so does the memo
+            return found
+        codes = getattr(found, field)
+        return found._replace(**{field: [0, *codes[1:]]})
+
+    monkeypatch.setattr(hurwitz, "_orbit_blocks", foreign_blocks)
+    with pytest.raises(BadFactorization):
+        partition_into_orbits(c, 4)
+
+
 @pytest.mark.parametrize(
     "label,part,parts",
     [("A3", 0, 1), ("B3", 0, 1), ("B2xA1", 0, 1), ("I2(5)", 0, 1)]
