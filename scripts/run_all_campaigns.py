@@ -44,13 +44,13 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
     for label in CONJECTURE_GROUPS:
         runs.append((label, "conjecture", {"offsets": rank2_offsets(label)}))
         runs.append((label, "lr-normal-form", {"offsets": rank2_offsets(label)}))
-    for label in ["A2", "A3", "B2"] + [f"I2({m})" for m in range(3, 9)]:
+    min_full = ["A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]
+    for label in min_full + [f"I2({m})" for m in range(3, 9)]:
         runs.append((label, "min-full-transitivity", {}))
     min_min = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]
     min_min += [f"I2({m})" for m in range(3, 33)]
     if heavy:
         min_min.append("F4")
-        runs.append(("B3", "min-full-transitivity", {}))
         for campaign in ("conjecture", "lr-normal-form"):
             runs.append(("F4", campaign, {"offsets": (0, 2)}))
     for label in min_min:
@@ -71,7 +71,7 @@ def main() -> int:
     ap.add_argument("--out-dir", default="campaign-reports")
     ap.add_argument("--only", choices=CAMPAIGN_NAMES, help="run only this campaign")
     ap.add_argument(
-        "--heavy", action="store_true", help="include the slow sweeps (F4, B3 full)"
+        "--heavy", action="store_true", help="include the slow F4 sweeps"
     )
     args = ap.parse_args()
 

@@ -21,7 +21,9 @@ table, and the definition of the length table.
 Every factorization search is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
 fixed length, and full ones, whose reflection set generates W
-(:func:`full_factorization_codes`, the one filter for them).  The walk
+(:func:`full_factorization_codes`, the one filter for them, which the full
+reflection length and the full enumeration use; Hurwitz partitions of
+full factorizations keep whole orbits instead).  The walk
 yields each factorization as one base-``|T|`` integer (:func:`encode`),
 which the Hurwitz layer walks directly; :func:`factorizations` is its tuple
 view.  :func:`walk_size` counts the walk's codes and visits without walking,
@@ -300,7 +302,12 @@ def full_factorization_codes(
 ) -> Iterator[int]:
     """The codes from :func:`factorization_codes` whose reflection set
     generates W, lazily, in increasing order.  Generation is decided once
-    per reflection set for the life of the call, by ``w.generates_whole``."""
+    per reflection set for the life of the call, by ``w.generates_whole``.
+
+    It serves :func:`full_reflection_length` and the full enumeration; a
+    Hurwitz partition of full factorizations does not filter its ground
+    set, since moves keep the generated subgroup and so a whole orbit
+    generates W or none of it does."""
     return _full_codes(g, length, budget, {})
 
 

@@ -30,11 +30,11 @@ alone, so it maps each sub-block ``{t1} x {t2} x Q`` (``Q`` an orbit of
 ``X_{n-2}(t2 t1 e)``) onto ``{t2} x {t2 t1 t2} x Q``; one edge per sub-block
 joins the blocks into the orbits (:func:`_orbit_blocks`, memoized per
 group).  The partition counts its ground set without walking it, by
-:func:`~coxorbits.absorder.walk_size`, or enumerates it with
-:func:`~coxorbits.absorder.full_factorization_codes` for full
-factorizations; it checks that the orbits cover it and that each
-representative and witness multiplies to ``g``.  Only representatives and
-witnesses are decoded.
+:func:`~coxorbits.absorder.walk_size`; it checks that the orbits cover it
+and that each representative and witness multiplies to ``g``.  Moves keep
+the generated subgroup, so the full factorizations are a union of orbits,
+kept by one generation test per orbit.  Only representatives and witnesses
+are decoded.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -138,8 +138,9 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
 
     The class of a factor inside the generated subgroup is its conjugation
     closure under the support, labelled by its least serialization.  All
-    but the multiset depends on the support alone (:func:`_support_data`)."""
-    key, order, labels = _support_data(w, frozenset(factors))
+    but the multiset depends on the generated subgroup alone
+    (:func:`_support_data`)."""
+    key, order, labels = _support_data(w, factors)
     return OrbitInvariant(
         subgroup_key=key,
         subgroup_order=order,
@@ -148,21 +149,28 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
 
 
 def _support_data(
-    w: CoxeterGroup, support: frozenset[int]
+    w: CoxeterGroup, support: tuple[int, ...]
 ) -> tuple[str, int, dict[int, str]]:
-    """The generated subgroup's key and order, and each support reflection's
-    class label within it (cached per group and support)."""
+    """The key and order of the subgroup ``support`` generates, and the
+    class label within it of each of its reflections.
+
+    Cached per group and subgroup: a reflection subgroup is fixed by its
+    reflection set, ``w.reflection_closure(support)`` (Dyer, *Reflection
+    subgroups of Coxeter systems*, 1990), so supports that generate the
+    same subgroup share one entry.  Each class is closed once."""
     memo = w._cache.setdefault("support_data", {})
-    if support not in memo:
-        gens = sorted(support)
+    refls = w.reflection_closure(support)
+    if refls not in memo:
+        gens = sorted(set(support))
         sub = w.closure([w.reflection(t) for t in gens])
         serial = w.reflection_serializations
-        labels = {
-            t: min(serial[x] for x in w.reflection_closure([t], gens))
-            for t in gens
-        }
-        memo[support] = (sub.canonical_key, sub.order, labels)
-    return memo[support]
+        labels: dict[int, str] = {}
+        for t in sorted(refls):
+            if t not in labels:
+                members = w.reflection_closure([t], gens)
+                labels.update(dict.fromkeys(members, min(serial[x] for x in members)))
+        memo[refls] = (sub.canonical_key, sub.order, labels)
+    return memo[refls]
 
 
 def _move_deltas(w: CoxeterGroup) -> list[int]:
@@ -225,10 +233,12 @@ def _walk_orbit(
 
     It serves :func:`hurwitz_orbit` and :func:`find_lr_witness`, which need
     no element table and so work on E7 and E8 too, where
-    :func:`_orbit_blocks` cannot run, and :func:`_transitive`, where a block
-    version measured slower on the ``classify`` benchmark (0.071-0.120 s
-    against 0.064-0.093 s of item time, three runs each on a 2-core VM). It
-    is written out rather than run on ``groups.breadth_first``: that
+    :func:`_orbit_blocks` cannot run, and
+    :func:`hurwitz_transitive_on_reduced`: a version of that on
+    :func:`_orbit_blocks`, with the same verdicts and charges, was slower on
+    the ``classify`` benchmark (6 interleaved pairs, seeds 1-6, 8 s each,
+    on a 2-core VM, Python 3.11: ``item_p50_ms`` 0.121 -> 0.165 and
+    ``items_per_s`` 4503 -> 3766).  It is written out rather than run on ``groups.breadth_first``: that
     primitive calls ``expand`` on each layer and rebuilds the layer as a
     list of the states not seen, while here the seen test, the layer list
     and the shape test share one pass over the moves (on the primitive, with
@@ -446,40 +456,31 @@ def partition_into_orbits(
     shape as its witness; only these are decoded.  The ground set is
     counted, not walked: :func:`~coxorbits.absorder.walk_size` gives its
     size and charges ``max_tuples`` with the walker's total at once, and
-    then each orbit charges ``max_states`` with its size.  Orbits whose
-    sizes do not add up to that count, or whose representative or witness
-    is not a factorization of ``g``, raise :class:`BadFactorization`, as
-    does a negative length.
+    then each kept orbit charges ``max_states`` with its size.  Orbits
+    whose sizes do not add up to that count, or whose representative or
+    witness is not a factorization of ``g``, raise
+    :class:`BadFactorization`, as does a negative length.
 
-    With ``full_only`` the ground set is restricted to factorizations whose
-    factors generate the whole group, and it is enumerated by
-    :func:`~coxorbits.absorder.full_factorization_codes`, since generation
-    is decided per reflection set.  Moves keep the generated subgroup, so
-    an orbit lies in it exactly when the enumeration yields its least
-    member.
+    With ``full_only`` only the factorizations whose factors generate the
+    whole group are partitioned, at the full reflection length by
+    default.  Moves keep the generated subgroup, so these are the orbits
+    whose representative generates, one ``w.generates_whole`` test each.
     """
     w = g.group
     n_refl = w.num_reflections
     e = w.element_ids()[g.comps]
     n = _ground_length(g, length, budget, full_only)
+    total = walk_size(g, n, budget).codes
     blocks = _orbit_blocks(w, e, n)
-    if full_only:
-        first = {code: o for o, code in enumerate(blocks.least)}
-        total = 0
-        kept = []
-        for code in full_factorization_codes(g, n, budget):
-            total += 1
-            if code in first:
-                kept.append(first[code])
-    else:
-        total = walk_size(g, n, budget).codes
-        kept = range(len(blocks.least))
+    if sum(blocks.sizes) != total:
+        raise BadFactorization("orbits do not cover their ground set")
     orbits = []
-    for o in kept:
-        size, shaped = blocks.sizes[o], blocks.shaped[o]
+    for least, size, shaped in zip(blocks.least, blocks.sizes, blocks.shaped):
+        rep = decode(least, n, n_refl)
+        if full_only and not w.generates_whole(rep):
+            continue
         if budget is not None:
             budget.charge("max_states", size)
-        rep = decode(blocks.least[o], n, n_refl)
         witness = None if shaped is None else decode(shaped, n, n_refl)
         if any(_product_id(w, f) != e for f in (rep, witness) if f is not None):
             raise BadFactorization("an orbit lies outside its ground set")
@@ -491,8 +492,6 @@ def partition_into_orbits(
                 lr_witness=witness,
             )
         )
-    if sum(o.size for o in orbits) != total:
-        raise BadFactorization("orbits do not cover their ground set")
     return orbits
 
 
@@ -531,41 +530,21 @@ def verify_conjecture(
     )
 
 
-def _transitive(
-    w: CoxeterGroup, n: int, first: int | None, total: int, budget: Budget | None
-) -> bool:
-    """Whether one orbit is all of a coded ground set of ``total``
-    factorizations with ``n`` factors, ``first`` among them.  Moves keep
-    the product, the length and the generated subgroup, so the orbit of
-    ``first`` never leaves the ground set and its size decides."""
-    if total <= 1:
-        return True
-    seen, _ = _walk_orbit(w, first, n, budget, None)
-    return len(seen) == total
-
-
 def hurwitz_transitive_on_reduced(
     g: GroupElement, budget: Budget | None = None
 ) -> bool:
     """Whether the Hurwitz action is transitive on the reduced reflection
     factorizations of ``g``.  The ground set is counted by
     :func:`~coxorbits.absorder.walk_size`, which charges the walker's
-    ``max_tuples`` total at once, so its first code is taken uncharged."""
+    ``max_tuples`` total at once, so its first code is taken uncharged.
+    Moves keep the product and the length, so the orbit of that code never
+    leaves the ground set and its size decides."""
     n = _ground_length(g, None, budget, False)
     total = walk_size(g, n, budget).codes
-    return _transitive(g.group, n, next(factorization_codes(g, n)), total, budget)
-
-
-def hurwitz_transitive_on_min_full(
-    g: GroupElement, budget: Budget | None = None
-) -> bool:
-    """Whether the Hurwitz action is transitive on the minimum-length full
-    reflection factorizations of ``g``, enumerated and counted."""
-    n = _ground_length(g, None, budget, True)
-    codes = full_factorization_codes(g, n, budget)
-    first = next(codes, None)
-    total = sum(1 for _ in codes) + (first is not None)
-    return _transitive(g.group, n, first, total, budget)
+    if total <= 1:
+        return True
+    seen, _ = _walk_orbit(g.group, next(factorization_codes(g, n)), n, budget, None)
+    return len(seen) == total
 
 
 def find_lr_witness(

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import brute_reduced_factorizations, cached_group
 from coxorbits import build_group, hurwitz
-from coxorbits.absorder import encode, is_parabolic_quasi_coxeter, reflection_length
+from coxorbits.absorder import (
+    encode,
+    full_factorization_codes,
+    full_reflection_length,
+    is_parabolic_quasi_coxeter,
+    reflection_length,
+)
 from coxorbits.budget import Budget
 from coxorbits.errors import (
     BadFactorization,
@@ -25,7 +31,6 @@ from coxorbits.hurwitz import (
     find_lr_witness,
     hurwitz_move,
     hurwitz_orbit,
-    hurwitz_transitive_on_min_full,
     hurwitz_transitive_on_reduced,
     is_lr_shape,
     orbit_invariant,
@@ -289,6 +294,18 @@ def test_factorization_budget_totals_frozen():
         spent = Budget()
         partition_into_orbits(c, length, spent)
         assert spent.spent == {"max_tuples": tuples, "max_states": states}
+    # full partitions: these totals were recorded while they still
+    # enumerated the full factorizations; ``None`` is the full length
+    for g, length, tuples, states in (
+        (coxeter_element(cached_group("B3")), 5, 29250, 2430),
+        (cached_group("A3").identity, None, 34200, 2880),
+        (cached_group("B2").reflection(2), 5, 1364, 240),
+        (coxeter_element(cached_group("I2(12)")), 4, 22620, 1728),
+        (cached_group("B2xA1").identity, None, 14960, 720),
+    ):
+        spent = Budget()
+        partition_into_orbits(g, length, spent, full_only=True)
+        assert spent.spent == {"max_tuples": tuples, "max_states": states}
 
 
 def test_orbit_budget():
@@ -451,6 +468,38 @@ def test_block_partition_matches_two_sided_oracle(label, part, parts):
                 assert orbit.lr_witness == min(shaped, default=None)
 
 
+@pytest.mark.parametrize(
+    "label,offsets",
+    [("A3", (0, 2)), ("B3", (0,)), ("B2xA1", (0, 2)), ("I2(6)", (0, 2)), ("H3", (0,))],
+    ids=lambda v: v if isinstance(v, str) else "+".join(map(str, v)),
+)
+def test_full_partition_matches_enumeration(label, offsets):
+    """On every element at the full reflection length plus ``offsets``, the
+    full partition covers exactly the codes ``full_factorization_codes``
+    yields, keeps exactly the orbits of the whole partition whose least
+    member it yields, and each representative is the least member of its
+    orbit as the code walk finds it.  B3 is left out at ``+ 2`` (10.8 M
+    factorizations to enumerate), and the walk stands in for
+    ``two_sided_orbit``, which took 7.6 s on A3 alone."""
+    w = cached_group(label)
+    n_refl = w.num_reflections
+    for g in w.elements():
+        full = full_reflection_length(g)
+        for n in (full + k for k in offsets):
+            yielded = set(full_factorization_codes(g, n))
+            orbits = partition_into_orbits(g, n, full_only=True)
+            assert sum(o.size for o in orbits) == len(yielded)
+            reps = [encode(o.representative.factors, n_refl) for o in orbits]
+            leasts = (
+                encode(o.representative.factors, n_refl)
+                for o in partition_into_orbits(g, n)
+            )
+            assert reps == [c for c in leasts if c in yielded]
+            for rep in reps:
+                seen, _ = hurwitz._walk_orbit(w, rep, n, None, None)
+                assert min(seen) == rep
+
+
 def test_block_partition_matches_walks_on_d4():
     """At length ``l + 2`` on every element of D4, the code walk from each
     orbit's representative finds the orbit's size."""
@@ -510,10 +559,10 @@ def test_transitivity_on_reduced():
 
 def test_transitivity_on_min_full():
     a2 = cached_group("A2")
-    assert hurwitz_transitive_on_min_full(coxeter_element(a2))
-    assert hurwitz_transitive_on_min_full(a2.reflection(0))
+    assert len(partition_into_orbits(coxeter_element(a2), full_only=True)) <= 1
+    assert len(partition_into_orbits(a2.reflection(0), full_only=True)) <= 1
     b2 = cached_group("B2")
-    assert hurwitz_transitive_on_min_full(b2.identity)
+    assert len(partition_into_orbits(b2.identity, full_only=True)) <= 1
 
 
 # -- left normal shape -----------------------------------------------------
