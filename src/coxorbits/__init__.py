@@ -4,8 +4,9 @@ The package builds finite Coxeter groups from their classification labels,
 computes reflection lengths and absolute order exactly, enumerates Hurwitz
 orbits of reflection factorizations, classifies parabolic quasi-Coxeter
 elements, and analyzes minimal versus minimum reflection generating sets.
-Everything runs over the field Q(sqrt 5); no floating point is involved in
-any decision.
+Everything is exact: roots and fixed spaces on integer lattice coordinates,
+matrices over the field Q(sqrt 5); no floating point is involved in any
+decision.
 
 Quick tour:
 

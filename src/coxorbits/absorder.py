@@ -5,8 +5,10 @@ space, never by graph search; the Cayley-graph distance is kept in a separate
 module as an independent check.  Absolute order is the partial order
 ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  All the geometry here runs on the
 factors' span routine (see :mod:`~coxorbits.groups`), without branching on
-the factor kind: lengths are moved-space dimensions, and a reflection fixes
-a common fixed space when its root lies in the sum of the moved spaces.
+the factor kind, and on integers, never on ``Scalar`` values: a vector factor's
+roots are integer lattice vectors and its span is a fraction-free echelon.
+Lengths are moved-space dimensions, and a reflection fixes a common fixed
+space when its root lies in the sum of the moved spaces.
 
 Whole-group queries read only the integer tables, through element ids:
 ``length_table`` (one geometric length per element, cached per group) and

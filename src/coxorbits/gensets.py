@@ -393,9 +393,9 @@ def _graph_model(
         # plain edge for e_i - e_j, a negative edge for e_i + e_j
         ambient = [0] * vertices
         for c, (i, j, sign) in zip(factor.root_vector(t), simple_edges):
-            ambient[i] += c.a
+            ambient[i] += c
             if i != j:
-                ambient[j] -= sign * c.a
+                ambient[j] -= sign * c
         support = [i for i, c in enumerate(ambient) if c]
         if len(support) == 1:
             return (support[0], support[0], 1)

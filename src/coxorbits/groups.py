@@ -2,10 +2,14 @@
 
 A group is a product of irreducible factors.  Vector-realized factors store
 their full root system once, each root by its coefficients on the simple
-roots (the form is the simple roots' Gram matrix, see ``roots.gram_matrix``),
-and represent each element as a permutation of the root list, so
-multiplication is index chasing and never touches coordinates.  Only the
-simple reflections are computed from coordinates: every reflection is
+roots as integer lattice coordinates: integers, and ``m + n*phi`` with integer
+``m``, ``n`` on H (see :class:`VectorFactor`).  Each element is a permutation
+of the root list, so multiplication is index chasing and never touches
+coordinates.  Only the simple reflections are computed from coordinates,
+their integer actions from the simple roots' Gram matrix
+(``roots.gram_matrix``), the one ``Scalar`` arithmetic of a build; roots and
+fixed-space spans run on Python ints, and ``GroupElement.matrix`` turns
+coordinates into ``Scalar`` values at the API edge.  Every reflection is
 ``s u s`` for a simple ``s`` and a reflection ``u`` nearer the simple ones,
 so every other root permutation, and every other ``refl_mult_table`` row,
 is conjugated from one already built by chasing integer indices.
@@ -37,7 +41,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import roots
@@ -48,17 +53,18 @@ from .errors import (
     NotInSubgroup,
     UnsupportedType,
 )
-from .linalg import Matrix, Vector, vec_scale, vec_sub
-from .scalars import Scalar
+from .linalg import Matrix, Vector
+from .scalars import PHI, Scalar
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
 _ZERO = Scalar.zero()
-_ONE = Scalar.one()
-_TWO = Scalar.from_int(2)
 
 #: One component of an element: a root permutation, or a (rotation, flip) pair.
 Comp = Union[tuple[int, ...], tuple[int, int]]
+
+#: A vector on a vector factor's integer lattice (see :class:`VectorFactor`).
+Lattice = tuple[int, ...]
 
 
 def breadth_first(
@@ -82,19 +88,47 @@ def breadth_first(
         layer = new
 
 
-def _dot(u: Vector, v: Vector) -> Scalar:
-    """Coordinate product of two vectors, skipping zero terms."""
-    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), _ZERO)
+def _z_phi(x: Scalar) -> tuple[int, int]:
+    """The integers ``(p, q)`` with ``x = p + q*phi``, for ``x`` in Z[phi]:
+    ``x = a + b*sqrt5`` gives ``q = 2b`` and ``p = a - b``."""
+    p, q = x.a - x.b, 2 * x.b
+    assert p.denominator == q.denominator == 1, x
+    return int(p), int(q)
 
 
-def _minus(v: Vector, c: Scalar, w: Vector) -> Vector:
-    """``v - c*w``, skipping the zero terms and the products by 1."""
-    if not c:
-        return v
-    return tuple(
-        a - (c if b == _ONE else c * b) if b else a
-        for a, b in zip(v, w, strict=True)
-    )
+def _phi_sign(m: int, n: int) -> int:
+    """Exact sign of ``m + n*phi``, from ``2(m + n*phi) = a + n*sqrt5`` with
+    ``a = 2m + n``: as in ``Scalar.sign``, terms of opposite signs are
+    compared by their squares."""
+    a = 2 * m + n
+    if a * n >= 0:
+        return (a + n > 0) - (a + n < 0)
+    larger = a if a * a > 5 * n * n else n
+    return 1 if larger > 0 else -1
+
+
+def _echelon_row(v: Sequence[int]) -> tuple[int, Lattice]:
+    """A nonzero integer vector divided by the gcd of its entries, with the
+    index of its first nonzero entry as its lead."""
+    g = gcd(*v)
+    row = tuple(a // g for a in v)
+    return next(i for i, a in enumerate(row) if a), row
+
+
+def _reduce(basis: tuple, v: Sequence[int]) -> Sequence[int]:
+    """``v`` with the basis rows' leads cleared in order, each step
+    ``v <- p*v - c*row`` for the row's lead entry ``p`` and ``c = v[lead]``
+    (fraction-free, as in Bareiss, *Sylvester's identity and multistep
+    integer-preserving Gaussian elimination*, 1968).  Each row is zero at the
+    leads of the rows before it, so a cleared lead stays clear, and the
+    result is zero exactly when ``v`` lies in the rows' span over Q."""
+    for entry in basis:
+        for lead, row in entry:
+            c = v[lead]
+            if c:
+                p = row[lead]
+                v = [p * a - c * b for a, b in zip(v, row)]
+    return v
 
 
 class _Factor:
@@ -116,12 +150,26 @@ class _Factor:
 
 
 class VectorFactor(_Factor):
-    """An irreducible factor realized by an explicit root system in
-    simple-root coordinates: the simple roots are the unit vectors and open
-    the root list, and a root's height is the sum of its coordinates.
+    """An irreducible factor realized by an explicit root system on integer
+    lattice coordinates.
 
-    Its span basis is reduced echelon: a tuple of ``(lead, row)`` pairs in
-    which each row has 1 at its own lead and 0 at every other row's lead.
+    In simple-root coordinates every root of A, B, D, E and F has integer
+    coefficients, and every root of H has coefficients ``m + n*phi`` with
+    integer ``m``, ``n`` and ``phi = (1 + sqrt5)/2``.  So a root is stored
+    as its integer coefficient tuple, and on H (``golden``) as the
+    ``2 * rank``-tuple ``(m_1..m_r, n_1..n_r)``: integer coordinates on the
+    Z-basis ``{alpha_k, phi*alpha_k}``.  The simple roots are the unit
+    vectors and open the root list.  Only the simple reflections' integer
+    actions come from the Gram matrix in :class:`Scalar` arithmetic; roots,
+    spans and fixed spaces run on Python ints, and :meth:`matrix_comp` turns
+    coordinates into ``Scalar`` values at the API edge.
+
+    Its span basis is a fraction-free integer echelon (see ``_reduce``): a
+    tuple with one entry per dimension over Q(sqrt 5), each entry a tuple of
+    ``(lead, row)`` pairs.  On H an entry holds the rows of ``v`` and
+    ``phi*v``, so the span stays Q(sqrt 5)-linear: in H3 the roots
+    ``alpha_0``, ``alpha_1`` and ``alpha_0 + phi*alpha_1`` span a plane,
+    though their lattice coordinates are independent over Q.
     """
 
     kind = "vector"
@@ -129,8 +177,8 @@ class VectorFactor(_Factor):
     def __init__(self, ir: roots.IrreducibleDatum):
         self.rank = ir.rank
         self.form = roots.gram_matrix(ir)
-        self.simples = Matrix.identity(self.rank).rows
-        self.roots, images = self._close(self.simples)
+        self.golden = ir.family == "H"
+        self.roots, images = self._close()
         self.root_index = {v: i for i, v in enumerate(self.roots)}
         self.neg_of = tuple(
             self.root_index[tuple(-c for c in v)] for v in self.roots
@@ -141,32 +189,54 @@ class VectorFactor(_Factor):
 
     # -- construction ------------------------------------------------------
 
-    def _coroot(self, alpha: Vector) -> Vector:
-        """The covector ``2 F alpha / (alpha, F alpha)``: its product with
-        ``v`` is the multiple of ``alpha`` that ``s_alpha`` subtracts."""
-        f_alpha = self.form.apply(alpha)
-        return vec_scale(_TWO / _dot(alpha, f_alpha), f_alpha)
+    def _simple_action(self, i: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The integer action of the ``i``-th simple reflection: pairs
+        ``(k, terms)``, each saying that ``s_i`` subtracts
+        ``sum(c * v[j] for j, c in terms)`` from coordinate ``k`` of ``v``.
 
-    def _close(
-        self, simples: Sequence[Vector]
-    ) -> tuple[tuple[Vector, ...], list[Vector]]:
+        ``s_i(v) = v - <v, alpha_i^vee> alpha_i`` moves only the coefficient
+        of ``alpha_i``, by the Cartan entries ``<alpha_j, alpha_i^vee> =
+        2 G_ji / G_ii`` of the Gram matrix ``G``.  They are integers, and
+        ``p + q*phi`` with integer ``p``, ``q`` on H, where
+        ``(m + n*phi)(p + q*phi) = (mp + nq) + (mq + np + nq)*phi``."""
+        r = self.rank
+        g = self.form.rows
+        cartan = [_z_phi(Scalar.from_int(2) * g[j][i] / g[i][i]) for j in range(r)]
+        if self.golden:
+            covectors = [
+                (i, [p for p, _ in cartan] + [q for _, q in cartan]),
+                (r + i, [q for _, q in cartan] + [p + q for p, q in cartan]),
+            ]
+        else:
+            covectors = [(i, [p for p, _ in cartan])]
+        return [
+            (k, tuple((j, c) for j, c in enumerate(cov) if c)) for k, cov in covectors
+        ]
+
+    def _close(self) -> tuple[tuple[Lattice, ...], list[Lattice]]:
         """The roots, in discovery order from the simple roots, and the
         image ``s_i(v)`` of each root ``v`` under each simple reflection,
         at ``images[k * rank + i]`` for the ``k``-th root."""
-        pairs = [(alpha, self._coroot(alpha)) for alpha in simples]
-        images: list[Vector] = []
+        actions = [self._simple_action(i) for i in range(self.rank)]
+        width = 2 * self.rank if self.golden else self.rank
+        simples = [tuple(int(k == i) for k in range(width)) for i in range(self.rank)]
+        images: list[Lattice] = []
 
-        def expand(layer: list) -> list[Vector]:
-            new = [
-                _minus(v, _dot(cov, v), alpha) for v in layer for alpha, cov in pairs
-            ]
+        def expand(layer: list) -> list[Lattice]:
+            new = []
+            for v in layer:
+                for action in actions:
+                    u = list(v)
+                    for k, terms in action:
+                        u[k] -= sum(c * v[j] for j, c in terms)
+                    new.append(tuple(u))
             images.extend(new)
             return new
 
-        roots = tuple(chain.from_iterable(breadth_first(set(), list(simples), expand)))
+        roots = tuple(chain.from_iterable(breadth_first(set(), simples, expand)))
         return roots, images
 
-    def _reflection_perms(self, images: list[Vector]) -> list[Comp]:
+    def _reflection_perms(self, images: list[Lattice]) -> list[Comp]:
         """Every reflection's root permutation, by reflection id.
 
         Only the simple reflections' come from coordinates: they are the
@@ -190,8 +260,11 @@ class VectorFactor(_Factor):
     def _classify_roots(self) -> None:
         # a root is positive exactly when its height, the sum of its
         # coefficients on the simple roots, is positive
+        r = self.rank
         self.positive_roots = tuple(
-            idx for idx, v in enumerate(self.roots) if sum(v, _ZERO).sign() > 0
+            idx
+            for idx, v in enumerate(self.roots)
+            if _phi_sign(sum(v[:r]), sum(v[r:])) > 0
         )
         refl_of = [0] * len(self.roots)
         for t, idx in enumerate(self.positive_roots):
@@ -232,46 +305,49 @@ class VectorFactor(_Factor):
 
     # -- fixed-space geometry ----------------------------------------------
 
-    def moved_vectors(self, p: Comp) -> list[Vector]:
+    def moved_vectors(self, p: Comp) -> list[Lattice]:
         """The nonzero ``g(alpha_i) - alpha_i`` over the simple roots."""
+        roots = self.roots
         return [
-            vec_sub(self.roots[p[i]], self.roots[i])
+            tuple(a - b for a, b in zip(roots[p[i]], roots[i]))
             for i in range(self.rank)
             if p[i] != i
         ]
 
-    def span_insert(self, basis: tuple, v: Vector) -> tuple[tuple, bool]:
-        for lead, row in basis:
-            v = _minus(v, v[lead], row)
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
+    def span_insert(self, basis: tuple, v: Lattice) -> tuple[tuple, bool]:
+        v = _reduce(basis, v)
+        if not any(v):
             return basis, False
-        if v[lead] != _ONE:
-            inv = _ONE / v[lead]
-            v = tuple(
-                _ONE if i == lead else a * inv if a else a for i, a in enumerate(v)
-            )
-        # clear the new lead from the other rows to keep the basis reduced
-        basis = tuple((k, _minus(row, row[lead], v)) for k, row in basis)
-        return basis + ((lead, v),), True
+        entry = (_echelon_row(v),)
+        if self.golden:
+            # phi (m + n phi) = n + (m + n) phi
+            r = self.rank
+            phi_v = (*v[r:], *(m + n for m, n in zip(v[:r], v[r:])))
+            entry += (_echelon_row(_reduce(basis + (entry,), phi_v)),)
+        return basis + (entry,), True
 
-    def in_span(self, basis: tuple, v: Vector) -> bool:
-        # a reduced basis gives v's coefficients as its entries at the leads;
-        # compare the other entries with that combination, stopping early
-        leads = {lead for lead, _ in basis}
-        terms = [(v[lead], row) for lead, row in basis if v[lead]]
-        return all(
-            a == sum((c * row[j] for c, row in terms if row[j]), _ZERO)
-            for j, a in enumerate(v)
-            if j not in leads
+    def in_span(self, basis: tuple, v: Lattice) -> bool:
+        # the span over Q of an H basis's rows is closed under phi, so it is
+        # the span over Q(sqrt 5)
+        return not any(_reduce(basis, v))
+
+    def scalar_vector(self, v: Lattice) -> Vector:
+        """The coefficients of a lattice vector on the simple roots, as
+        :class:`Scalar` values: ``m_k + n_k*phi`` on H."""
+        r = self.rank
+        return tuple(
+            Scalar.from_int(m) + Scalar.from_int(n) * PHI
+            for m, n in zip_longest(v[:r], v[r:], fillvalue=0)
         )
 
     def matrix_comp(self, p: Comp) -> Matrix:
         """The matrix in the simple-root basis: column ``i`` is the image of
         the ``i``-th simple root."""
-        return Matrix.from_columns([self.roots[p[i]] for i in range(self.rank)])
+        return Matrix.from_columns(
+            [self.scalar_vector(self.roots[p[i]]) for i in range(self.rank)]
+        )
 
-    def root_vector(self, t: int) -> Vector:
+    def root_vector(self, t: int) -> Lattice:
         return self.roots[self.positive_roots[t]]
 
 

@@ -6,11 +6,12 @@ fraction-free (Bareiss-style) elimination, which keeps intermediate entries
 small; kernels come from an exact reduced row echelon form.  There are no
 tolerances: a pivot is nonzero or it is not.
 
-The package itself uses only the vector helpers and the :class:`Matrix`
-type here (``GroupElement.matrix``, the Gram matrix of a root system); its
-fixed-space geometry runs on the factors' span routines instead.  The tests
-build their fixed-space oracles (codimension, containment) on the rank and
-kernel routines here.
+The package itself uses only the :class:`Matrix` type here
+(``GroupElement.matrix``, the Gram matrix of a root system); its roots and
+fixed-space geometry run on integer lattice coordinates in the factors'
+span routines instead (see :mod:`~coxorbits.groups`).  The tests build
+their fixed-space oracles (codimension, containment) on the rank and kernel
+routines here.
 """
 from __future__ import annotations
 
@@ -27,14 +28,6 @@ _ONE = Scalar.one()
 
 def vector(entries: Iterable[Scalar | int]) -> Vector:
     return tuple(e if isinstance(e, Scalar) else Scalar.from_int(e) for e in entries)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:

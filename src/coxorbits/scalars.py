@@ -1,11 +1,14 @@
 """Exact arithmetic in the real quadratic field Q(sqrt 5).
 
-Every geometric quantity in this package (root coordinates, bilinear forms,
-matrix entries) is a :class:`Scalar`, a number ``a + b*sqrt(5)`` with rational
-``a`` and ``b`` held as :class:`fractions.Fraction`.  The field contains the
-golden ratio, which is all that is needed to realize the non-crystallographic
-reflection groups exactly; the crystallographic ones only ever use ``b = 0``.
-No floating point appears anywhere downstream.
+A :class:`Scalar` is a number ``a + b*sqrt(5)`` with rational ``a`` and ``b``
+held as :class:`fractions.Fraction`.  The field contains the golden ratio,
+which is all that is needed to realize the non-crystallographic reflection
+groups exactly; the crystallographic ones only ever use ``b = 0``.  The
+package uses it for the Gram matrices of the simple roots, from which each
+simple reflection's integer action is derived, and for the matrices of
+``GroupElement.matrix``.  Roots and fixed-space geometry run on integer
+lattice coordinates instead (see :mod:`~coxorbits.groups`).  No floating
+point appears anywhere.
 
 Comparisons are decided exactly by a sign analysis of ``a**2 - 5*b**2``, never
 by numeric approximation.

@@ -1,9 +1,11 @@
 from functools import lru_cache
+from typing import Callable
 
 import pytest
 
 from coxorbits.groups import build_group
 from coxorbits.linalg import Matrix, kernel_basis, rank, vec_is_zero
+from coxorbits.roots import IrreducibleDatum, gram_matrix
 from coxorbits.scalars import Scalar
 
 
@@ -48,20 +50,64 @@ def bfs_length_table(label: str) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def geometric_reflection_perm(f, t: int) -> tuple[int, ...]:
-    """Oracle for a vector factor's reflection permutation: the image of
-    each root ``v`` under ``s_alpha``, ``v - <v, alpha^vee> alpha`` with
-    ``alpha^vee = 2 F alpha / (alpha, F alpha)`` for the factor's Gram
-    form ``F``, computed in ``Scalar`` arithmetic for every root."""
-    alpha = f.root_vector(t)
-    f_alpha = f.form.apply(alpha)
+def scalar_reflection(form: Matrix, alpha: tuple) -> Callable[[tuple], tuple]:
+    """The reflection ``v -> v - <v, alpha^vee> alpha`` of ``Scalar``
+    coordinate vectors, with ``alpha^vee = 2 F alpha / (alpha, F alpha)``
+    for the Gram form ``F``."""
+    f_alpha = form.apply(alpha)
     norm = sum((a * b for a, b in zip(alpha, f_alpha)), Scalar.zero())
     coroot = tuple(Scalar.from_int(2) * c / norm for c in f_alpha)
-    perm = []
-    for v in f.roots:
-        c = sum((a * b for a, b in zip(v, coroot)), Scalar.zero())
-        perm.append(f.root_index[tuple(a - c * b for a, b in zip(v, alpha))])
-    return tuple(perm)
+
+    def reflect(v: tuple) -> tuple:
+        c = sum((a * b for a, b in zip(v, coroot) if a and b), Scalar.zero())
+        return tuple(a - c * b for a, b in zip(v, alpha))
+
+    return reflect
+
+
+@lru_cache(maxsize=None)
+def scalar_root_system(ir: IrreducibleDatum) -> tuple[tuple, tuple, tuple]:
+    """Oracle for a vector factor's root list, independent of its integer
+    lattice: the closure of the simple roots (the unit vectors) under the
+    simple reflections, in ``Scalar`` coordinates on ``roots.gram_matrix``.
+    Breadth first, each layer's new roots in order of (root, simple
+    reflection), so the list order is the one the package must keep.
+
+    Returns the roots, the indices of the positive ones (those of positive
+    height, the sum of the coordinates) and each root's negative's index."""
+    form = gram_matrix(ir)
+    simples = Matrix.identity(ir.rank).rows
+    reflections = [scalar_reflection(form, alpha) for alpha in simples]
+    found = list(simples)
+    seen = set(found)
+    layer = found
+    while layer:
+        new = []
+        for v in layer:
+            for reflect in reflections:
+                u = reflect(v)
+                if u not in seen:
+                    seen.add(u)
+                    new.append(u)
+        found = found + new
+        layer = new
+    index = {v: i for i, v in enumerate(found)}
+    positive = tuple(
+        i for i, v in enumerate(found) if sum(v, Scalar.zero()).sign() > 0
+    )
+    neg_of = tuple(index[tuple(-a for a in v)] for v in found)
+    return tuple(found), positive, neg_of
+
+
+def geometric_reflection_perm(f, t: int) -> tuple[int, ...]:
+    """Oracle for a vector factor's reflection permutation: the image of
+    each root under ``s_alpha`` (see :func:`scalar_reflection`), computed in
+    ``Scalar`` arithmetic for every root, on the roots' ``Scalar``
+    coordinates."""
+    roots = [f.scalar_vector(v) for v in f.roots]
+    index = {v: i for i, v in enumerate(roots)}
+    reflect = scalar_reflection(f.form, f.scalar_vector(f.root_vector(t)))
+    return tuple(index[reflect(v)] for v in roots)
 
 
 @lru_cache(maxsize=2)

@@ -29,7 +29,7 @@ from conftest import (
     cached_group,
     kernel_contains,
 )
-from coxorbits import absorder
+from coxorbits import absorder, gensets
 from coxorbits.absorder import (
     absolute_leq,
     classify_element,
@@ -162,6 +162,26 @@ def test_classify_element_reads_only_the_tables(monkeypatch):
             assert cls.all_factorizations_agree
 
 
+def test_fixed_space_geometry_runs_on_integers(monkeypatch):
+    """Once the groups are built, lengths, fixing reflections, parabolicity
+    and the rank of a reflection set create no ``Scalar``: the span routine
+    runs on integer lattice coordinates."""
+    groups = [cached_group(label) for label in ["B3", "H3", "D4", "A2xI2(5)"]]
+    for w in groups:
+        w.elements()
+
+    def refuse(*args):
+        raise AssertionError("Scalar created")
+
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    for w in groups:
+        for g in w.elements():
+            absorder.reflection_length(g)
+            fixing = absorder.reflections_fixing(g)
+            is_parabolic(w.closure([w.reflection(t) for t in fixing]))
+            gensets._reflection_set_rank(w, fixing)
+
+
 # -- parabolic closures ----------------------------------------------------
 
 
@@ -240,7 +260,9 @@ def test_coordinate_flips_of_b3_not_parabolic():
         return sum((a * b for a, b in zip(v, f.form.apply(v))), Scalar.zero())
 
     coord = [
-        t for t in range(f.num_reflections) if norm(f.root_vector(t)) == Scalar.one()
+        t
+        for t in range(f.num_reflections)
+        if norm(f.scalar_vector(f.root_vector(t))) == Scalar.one()
     ]
     assert len(coord) == 3
     sub = b3.closure([b3.reflection(t) for t in coord])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_group, fixed_space_codim, geometric_reflection_perm
+from conftest import (
+    cached_group,
+    fixed_space_codim,
+    geometric_reflection_perm,
+    scalar_reflection,
+    scalar_root_system,
+)
 from coxorbits import build_group
 from coxorbits.absorder import parabolic_closure
 from coxorbits.errors import (
@@ -21,6 +27,7 @@ from coxorbits.errors import (
 from coxorbits.groups import CoxeterGroup, VectorFactor, breadth_first
 from coxorbits.linalg import Matrix, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
+from coxorbits.scalars import PHI, Scalar
 
 
 # -- labels ----------------------------------------------------------------
@@ -97,8 +104,30 @@ def test_root_counts_match_census(label, num_roots):
 def test_simple_roots_independent_and_seeded_first():
     for label in ["A4", "B3", "D4", "F4", "H3", "E6"]:
         f = VectorFactor(parse_datum(label).factors[0])
-        assert rank(Matrix.from_columns(list(f.simples))) == f.rank
-        assert f.roots[: f.rank] == f.simples
+        simples = [f.scalar_vector(v) for v in f.roots[: f.rank]]
+        assert rank(Matrix.from_columns(simples)) == f.rank
+        assert simples == list(Matrix.identity(f.rank).rows)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "B4", "D4", "D5", "D6", "E6", "E7", "E8",
+     "F4", "H3", "H4", "B2xA2xH3"],
+)
+def test_lattice_roots_match_scalar_closure(label):
+    # the root order fixes every serialization, so every report byte
+    for ir in parse_datum(label).factors:
+        f = VectorFactor(ir)
+        roots, positive, neg_of = scalar_root_system(ir)
+        assert tuple(f.scalar_vector(v) for v in f.roots) == roots
+        assert f.positive_roots == positive
+        assert f.neg_of == neg_of
+        # the simple reflections, the only ones built from coordinates; the
+        # others are checked by test_reflection_perms_match_geometry
+        index = {v: i for i, v in enumerate(roots)}
+        for t, alpha in enumerate(positive[: f.rank]):
+            reflect = scalar_reflection(f.form, roots[alpha])
+            assert f.refl_comp(t) == tuple(index[reflect(v)] for v in roots)
 
 
 #: The Coxeter diagrams, written out independently of the Gram matrices:
@@ -154,22 +183,39 @@ def test_reflection_fixes_its_root_line_only_in_h3():
         assert f.fixed_codim_comp(p) == 1
 
 
-@pytest.mark.parametrize("label", ["H3", "F4", "E6"])
+@pytest.mark.parametrize("label", ["H3", "F4", "E6", "H4"])
 def test_span_routine_matches_bareiss_rank(label):
     f = VectorFactor(parse_datum(label).factors[0])
     rng = random.Random(f"span-{label}")
-    for _ in range(8):
-        chosen = rng.sample(range(f.num_reflections), rng.randint(1, f.rank + 1))
-        vectors = [f.root_vector(t) for t in chosen]
+    roots = [f.scalar_vector(f.root_vector(t)) for t in range(f.num_reflections)]
+
+    def check(vectors):
         basis, grown = (), 0
         for v in vectors:
             basis, grew = f.span_insert(basis, v)
             grown += grew
-        assert grown == len(basis) == rank(Matrix.from_columns(vectors))
-        for t in range(f.num_reflections):
-            v = f.root_vector(t)
-            same = rank(Matrix.from_columns(vectors + [v])) == grown
-            assert f.in_span(basis, v) == same
+        columns = [f.scalar_vector(v) for v in vectors]
+        assert grown == len(basis) == rank(Matrix.from_columns(columns))
+        for t, v in enumerate(roots):
+            same = rank(Matrix.from_columns(columns + [v])) == grown
+            assert f.in_span(basis, f.root_vector(t)) == same
+        return basis
+
+    if label == "H3":
+        # alpha_0, alpha_1 and alpha_0 + phi alpha_1 span a plane over
+        # Q(sqrt 5), though their lattice coordinates are independent over Q
+        assert f.scalar_vector(f.roots[4]) == (Scalar.one(), PHI, Scalar.zero())
+        assert len(check([f.roots[0], f.roots[1], f.roots[4]])) == 2
+        assert f.in_span(check([f.roots[0], f.roots[1]]), f.roots[4])
+    for _ in range(8):
+        chosen = rng.sample(range(f.num_reflections), rng.randint(1, f.rank + 1))
+        check([f.root_vector(t) for t in chosen])
+    # the moved spaces of random elements, words in the reflections
+    for _ in range(8):
+        p = f.identity_comp()
+        for _ in range(rng.randint(1, 2 * f.rank)):
+            p = f.mult_comp(p, f.refl_comp(rng.randrange(f.num_reflections)))
+        check(f.moved_vectors(p))
 
 
 # -- group arithmetic ------------------------------------------------------
@@ -212,7 +258,7 @@ def test_matrix_agrees_with_root_permutation():
             m = g.matrix()
             p = g.comps[0]
             for i, v in enumerate(f.roots):
-                assert m.apply(v) == f.roots[p[i]]
+                assert m.apply(f.scalar_vector(v)) == f.scalar_vector(f.roots[p[i]])
 
 
 def test_matrix_of_product_is_product_of_matrices():
@@ -595,18 +641,18 @@ def test_reflection_perms_match_geometry(label, step):
 @pytest.mark.parametrize("label", ["B3", "H3", "F4", "A2xI2(5)"])
 def test_only_simple_reflections_use_coordinates(label, monkeypatch):
     counts = {"coroot": 0, "multiply": 0}
-    coroot = VectorFactor._coroot
+    coroot = VectorFactor._simple_action
     multiply = CoxeterGroup.multiply_comps
 
-    def counted_coroot(self, alpha):
+    def counted_coroot(self, i):
         counts["coroot"] += 1
-        return coroot(self, alpha)
+        return coroot(self, i)
 
     def counted_multiply(self, g, h):
         counts["multiply"] += 1
         return multiply(self, g, h)
 
-    monkeypatch.setattr(VectorFactor, "_coroot", counted_coroot)
+    monkeypatch.setattr(VectorFactor, "_simple_action", counted_coroot)
     monkeypatch.setattr(CoxeterGroup, "multiply_comps", counted_multiply)
     w = build_group(label)
     vector_rank = sum(f.rank for f in w.factors if f.kind == "vector")
