@@ -640,28 +640,28 @@ def test_reflection_perms_match_geometry(label, step):
 
 @pytest.mark.parametrize("label", ["B3", "H3", "F4", "A2xI2(5)"])
 def test_only_simple_reflections_use_coordinates(label, monkeypatch):
-    counts = {"coroot": 0, "multiply": 0}
-    coroot = VectorFactor._simple_action
+    counts = {"action": 0, "multiply": 0}
+    action = VectorFactor._simple_action
     multiply = CoxeterGroup.multiply_comps
 
-    def counted_coroot(self, i):
-        counts["coroot"] += 1
-        return coroot(self, i)
+    def counted_action(self, i):
+        counts["action"] += 1
+        return action(self, i)
 
     def counted_multiply(self, g, h):
         counts["multiply"] += 1
         return multiply(self, g, h)
 
-    monkeypatch.setattr(VectorFactor, "_simple_action", counted_coroot)
+    monkeypatch.setattr(VectorFactor, "_simple_action", counted_action)
     monkeypatch.setattr(CoxeterGroup, "multiply_comps", counted_multiply)
     w = build_group(label)
     vector_rank = sum(f.rank for f in w.factors if f.kind == "vector")
-    assert counts["coroot"] == vector_rank
+    assert counts["action"] == vector_rank
     w.elements()
     counts["multiply"] = 0
     w.refl_conj_table
     w.refl_mult_table
-    assert counts["coroot"] == vector_rank
+    assert counts["action"] == vector_rank
     assert counts["multiply"] == len(w.simple_reflection_ids) * w.census_order
 
 
