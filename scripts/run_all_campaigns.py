@@ -53,6 +53,8 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
         min_min.append("F4")
         for campaign in ("conjecture", "lr-normal-form"):
             runs.append(("F4", campaign, {"offsets": (0, 2)}))
+        for campaign in ("pqc-characterization", "min-full-transitivity"):
+            runs.append(("F4", campaign, {}))
     for label in min_min:
         runs.append((label, "min-equals-min", {}))
     for m in (30, 42, 60, 66, 70, 105):
@@ -71,7 +73,10 @@ def main() -> int:
     ap.add_argument("--out-dir", default="campaign-reports")
     ap.add_argument("--only", choices=CAMPAIGN_NAMES, help="run only this campaign")
     ap.add_argument(
-        "--heavy", action="store_true", help="include the slow F4 sweeps"
+        "--heavy",
+        action="store_true",
+        help="include the slow F4 sweeps: conjecture, lr-normal-form, "
+        "pqc-characterization, min-full-transitivity and min-equals-min",
     )
     args = ap.parse_args()
 

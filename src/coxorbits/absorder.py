@@ -20,18 +20,21 @@ from the quasi-Coxeter elements by steps that each drop the length by one.
 Fixed-space geometry serves the element-level API, which needs no element
 table, and the definition of the length table.
 
-Every factorization search is one lazy walk over ``refl_mult_table``
+Every factorization enumeration is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
 fixed length, and full ones, whose reflection set generates W
-(:func:`full_factorization_codes`, the one filter for them, which the full
-reflection length and the full enumeration use; Hurwitz partitions of
-full factorizations keep whole orbits instead).  The walk
-yields each factorization as one base-``|T|`` integer (:func:`encode`),
-which the Hurwitz layer walks directly; :func:`factorizations` is its tuple
-view.  :func:`walk_size` counts the walk's codes and visits without walking,
-by a recursion cached per group; the Hurwitz layer counts its ground sets
-with it.  The walk and its size share the one rule that rejects a negative
-length, for every view.
+(:func:`full_factorization_codes`, the filter the full enumeration uses;
+Hurwitz partitions of full factorizations keep whole orbits instead).  The
+walk yields each factorization as one base-``|T|`` integer
+(:func:`encode`), which the Hurwitz layer walks directly;
+:func:`factorizations` is its tuple view.  :func:`walk_size` counts the
+walk's codes and visits without walking, by a recursion cached per group;
+the Hurwitz layer counts its ground sets with it.  The walk and its size
+share the one rule that rejects a negative length, for every view.
+
+The full reflection length enumerates nothing: it is a search over states
+``(quotient, slots left, reflection closure of the factors so far)``,
+memoized per group with its closure steps (:func:`_full_search`).
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -306,23 +309,13 @@ def full_factorization_codes(
     generates W, lazily, in increasing order.  Generation is decided once
     per reflection set for the life of the call, by ``w.generates_whole``.
 
-    It serves :func:`full_reflection_length` and the full enumeration; a
-    Hurwitz partition of full factorizations does not filter its ground
-    set, since moves keep the generated subgroup and so a whole orbit
-    generates W or none of it does."""
-    return _full_codes(g, length, budget, {})
-
-
-def _full_codes(
-    g: GroupElement,
-    length: int,
-    budget: Budget | None,
-    memo: dict[frozenset[int], bool],
-) -> Iterator[int]:
-    """:func:`full_factorization_codes` deciding generation through
-    ``memo``, which may span several calls."""
+    It serves the full enumeration; a Hurwitz partition of full
+    factorizations does not filter its ground set, since moves keep the
+    generated subgroup and so a whole orbit generates W or none of it
+    does."""
     w = g.group
     n_refl = w.num_reflections
+    memo: dict[frozenset[int], bool] = {}
     for code in factorization_codes(g, length, budget):
         key = frozenset(decode(code, length, n_refl))
         if key not in memo:
@@ -446,17 +439,78 @@ def full_reflection_length(
     generate the whole group.
 
     Tries the lengths ``l(g), l(g)+2, ...`` (parity is forced) in turn and
-    stops at the first at which :func:`full_factorization_codes` yields; a
-    reduced factorization extended by pairs of simple reflections shows
-    that ``l(g) + 2n`` always suffices.  Generation is decided on the
-    reflection set, once per set across every length tried, so no linear
-    algebra runs here.
+    stops at the first at which :func:`_full_search` finds a generating
+    factorization; a reduced factorization extended by pairs of simple
+    reflections shows that ``l(g) + 2n`` always suffices.  With a budget,
+    each length tried charges ``max_tuples`` with ``|T|`` for every state
+    its search expands, counted as if nothing were memoized, so the charge
+    does not depend on what ran before on the group.
     """
     w = g.group
-    base = length_table(w)[w.element_ids()[g.comps]]
-    memo: dict[frozenset[int], bool] = {}
+    start = w.element_ids()[g.comps]
+    base = length_table(w)[start]
     for length in range(base, base + 2 * w.rank + 1, 2):
-        # code 0 is the factorization (0, ..., 0), so test for None
-        if next(_full_codes(g, length, budget, memo), None) is not None:
+        search = _full_search(w, start, length, frozenset())
+        if budget is not None:
+            budget.charge("max_tuples", w.num_reflections * search.expanded)
+        if search.found:
             return length
     raise AssertionError("no full factorization found in bound")
+
+
+class _FullSearch(NamedTuple):
+    """Whether a state of :func:`_full_search` has a generating completion,
+    and how many states a search without memo expands from it, stopping at
+    the first success."""
+
+    found: bool
+    expanded: int
+
+
+def _full_search(
+    w: CoxeterGroup, q: int, remaining: int, closed: frozenset[int]
+) -> _FullSearch:
+    """Whether ``remaining`` reflections with product ``q`` (an element id)
+    exist whose reflections, joined to ``closed``, generate W.
+
+    ``closed`` is the reflection closure of the factors chosen so far, and
+    the factors generate W exactly when their closure is all of T (Dyer,
+    *Reflection subgroups of Coxeter systems*, 1990), so the answer depends
+    only on the state ``(q, remaining, closed)``.  Once ``closed`` is all of
+    T, any factorization completes, and one exists when
+    ``l(q) <= remaining`` (parity holds along every step); the state is not
+    expanded.  Otherwise the state steps, in the walker's order, to
+    ``(t q, remaining - 1, closure(closed | {t}))`` for the ``t`` with
+    ``l(t q) < remaining``, up to the first that succeeds.
+
+    States and closure steps are memoized per group; the loop looks a
+    child state up before it recurses.  Equal closures are kept as one
+    object, so the state memo compares them by identity.
+    """
+    memo = w._cache.setdefault("full_search", {})
+    steps = w._cache.setdefault("closure_steps", {})
+    sets = w._cache.setdefault("closed_sets", {})
+    lengths = length_table(w)
+    if len(closed) == w.num_reflections:
+        state = _FullSearch(lengths[q] <= remaining, 0)
+    elif remaining == 0:
+        state = _FullSearch(False, 0)
+    else:
+        found, expanded = False, 1
+        for t, row in enumerate(w.refl_mult_table):
+            if lengths[row[q]] < remaining:
+                after = steps.get((closed, t))
+                if after is None:
+                    after = w.reflection_closure(closed | {t})
+                    after = steps[closed, t] = sets.setdefault(after, after)
+                key = (row[q], remaining - 1, after)
+                below = memo.get(key)
+                if below is None:
+                    below = _full_search(w, *key)
+                expanded += below.expanded
+                if below.found:
+                    found = True
+                    break
+        state = _FullSearch(found, expanded)
+    memo[q, remaining, closed] = state
+    return state

@@ -14,7 +14,11 @@ quasi-Coxeter classifiers, checked against independent oracles:
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
 * full factorization codes and the full reflection length vs the
-  factorizations whose element closure is the whole group.
+  factorizations whose element closure is the whole group, and the full
+  reflection length's state search vs the first length at which full
+  factorization codes exist,
+* the full reflection length's ``max_tuples`` charge vs a search without
+  memo, on a cold and on a warm group alike.
 """
 import itertools
 from collections import defaultdict
@@ -50,7 +54,7 @@ from coxorbits.absorder import (
 )
 from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
-from coxorbits.groups import DihedralFactor, VectorFactor
+from coxorbits.groups import DihedralFactor, VectorFactor, build_group
 from coxorbits.hurwitz import enumerate_factorizations
 from coxorbits.scalars import Scalar
 
@@ -663,3 +667,85 @@ def test_full_length_budget():
     with pytest.raises(CapExceeded):
         c = coxeter_element(w)
         full_reflection_length(c * c * c, Budget(max_tuples=5))
+
+
+def first_full_length(g) -> int:
+    """Oracle: the least length ``l, l+2, ...`` at which
+    ``full_factorization_codes`` yields."""
+    length = reflection_length(g)
+    while next(full_factorization_codes(g, length), None) is None:
+        length += 2
+    return length
+
+
+@pytest.mark.parametrize("label", ["D4", "A4", "B2xA1"])
+def test_full_length_matches_full_factorization_codes(label):
+    w = cached_group(label)
+    for g in w.elements():
+        assert full_reflection_length(g) == first_full_length(g), g
+
+
+def plain_search_expansions(g, length) -> tuple[bool, int]:
+    """Oracle for the charge: a depth-first search over factor prefixes
+    without memo, in the walker's order, that decides generation by
+    ``generates_whole`` on the prefix and stops at the first success.
+    Returns whether it succeeded and how many prefixes it expanded."""
+    w = g.group
+    lengths = absorder.length_table(w)
+    mult = w.refl_mult_table
+
+    def search(q, remaining, prefix):
+        if prefix and w.generates_whole(prefix):
+            return lengths[q] <= remaining, 0
+        if remaining == 0:
+            return False, 0
+        expanded = 1
+        for t in range(w.num_reflections):
+            if lengths[mult[t][q]] < remaining:
+                found, below = search(mult[t][q], remaining - 1, prefix | {t})
+                expanded += below
+                if found:
+                    return True, expanded
+        return False, expanded
+
+    return search(w.element_ids()[g.comps], length, frozenset())
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_full_length_charges_a_plain_search(label):
+    """Each length tried charges ``|T|`` per prefix a memo-free search
+    expands, up to its first success."""
+    w = cached_group(label)
+    for g in w.elements():
+        expected = 0
+        length = reflection_length(g)
+        while True:
+            found, expanded = plain_search_expansions(g, length)
+            expected += w.num_reflections * expanded
+            if found:
+                break
+            length += 2
+        budget = Budget()
+        assert full_reflection_length(g, budget) == length, g
+        assert budget.spent.get("max_tuples", 0) == expected, g
+
+
+def test_full_length_charge_does_not_depend_on_the_memo():
+    """The same budgeted call charges the same on a fresh group and on one
+    whose search memo is warm, and the same cap stops both."""
+    warm = cached_group("B3")
+    for g in warm.elements():
+        full_reflection_length(g)
+
+    def minus_one(w):
+        c = coxeter_element(w)
+        return c * c * c
+
+    cold, warm_budget = Budget(), Budget()
+    full_reflection_length(minus_one(build_group("B3")), cold)
+    full_reflection_length(minus_one(warm), warm_budget)
+    assert cold.spent == warm_budget.spent
+    cap = cold.spent["max_tuples"] // 2
+    for w in (build_group("B3"), warm):
+        with pytest.raises(CapExceeded):
+            full_reflection_length(minus_one(w), Budget(max_tuples=cap))
