@@ -37,10 +37,14 @@ def rank2_offsets(label: str) -> tuple[int, ...]:
 
 def battery(heavy: bool) -> list[tuple[str, str, dict]]:
     runs: list[tuple[str, str, dict]] = []
-    for label in ["A3", "B3", "H3", "D4"] + DIHEDRAL_SMALL:
+    for label in ["A3", "A4", "B3", "B4", "H3", "D4"] + DIHEDRAL_SMALL:
         runs.append((label, "carter", {}))
-    for label in ["A3", "B2", "B3", "H3", "D4"] + DIHEDRAL_SMALL:
+    for label in ["A3", "A4", "B2", "B3", "B4", "H3", "D4"] + DIHEDRAL_SMALL:
         runs.append((label, "pqc-characterization", {}))
+    if heavy:
+        runs.append(("F4", "carter", {}))
+        runs.append(("D5", "carter", {}))
+        runs.append(("D5", "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
         runs.append((label, "conjecture", {"offsets": rank2_offsets(label)}))
         runs.append((label, "lr-normal-form", {"offsets": rank2_offsets(label)}))
@@ -75,8 +79,9 @@ def main() -> int:
     ap.add_argument(
         "--heavy",
         action="store_true",
-        help="include the slow F4 sweeps: conjecture, lr-normal-form, "
-        "pqc-characterization, min-full-transitivity and min-equals-min",
+        help="include the slow sweeps: F4 carter, conjecture, lr-normal-form, "
+        "pqc-characterization, min-full-transitivity and min-equals-min, "
+        "and D5 carter and pqc-characterization",
     )
     args = ap.parse_args()
 

@@ -32,7 +32,6 @@ from .errors import (
     IndexOutOfRange,
     NotDistinct,
     NotGenerating,
-    NotInSubgroup,
     ParseError,
     ShapeNotFound,
     TypeMismatch,
@@ -49,7 +48,6 @@ __all__ = [
     "IndexOutOfRange",
     "NotDistinct",
     "NotGenerating",
-    "NotInSubgroup",
     "ParseError",
     "Scalar",
     "ShapeNotFound",

@@ -17,8 +17,11 @@ one rule, ``l(t g) = l(g) - 1`` (:func:`_lowering_reflections`, the
 reflections fixing ``Fix(g)`` by Carter's lemma): classification, and the
 cached down-set "below some quasi-Coxeter element", the elements reached
 from the quasi-Coxeter elements by steps that each drop the length by one.
-Fixed-space geometry serves the element-level API, which needs no element
-table, and the definition of the length table.
+Being (parabolic) quasi-Coxeter is a class function, so whole-group sweeps
+classify one element per conjugacy class and spread its verdict through the
+class table ``w.class_labels`` (:func:`class_filter`).  Fixed-space
+geometry serves the element-level API, which needs no element table, and
+the definition of the length table.
 
 Every factorization enumeration is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .budget import Budget
 from .errors import BadFactorization, GroupMismatch
@@ -334,23 +337,17 @@ class Classification:
     is_parabolic_quasi_coxeter: bool
     is_quasi_coxeter: bool
     witness: tuple[int, ...] | None
-    all_factorizations_agree: bool | None
 
 
-def classify_element(
-    g: GroupElement, strict: bool = False, budget: Budget | None = None
-) -> Classification:
+def classify_element(g: GroupElement, budget: Budget | None = None) -> Classification:
     """Decide the quasi-Coxeter properties of ``g``.
 
-    By default the search stops at the first reduced factorization that
-    generates the parabolic closure.  With ``strict=True`` every reduced
-    factorization is closed and the report also states whether they all
-    agreed (they provably do, which makes this a useful cross-check).
-
-    Like every whole-group query it reads only the integer tables: the
-    closure's reflections are :func:`_lowering_reflections`.  Fixed-space
-    geometry serves the element-level API, the definition of the length
-    table and the ``carter`` campaign's independent check.
+    The search stops at the first reduced factorization that generates the
+    parabolic closure.  Like every whole-group query it reads only the
+    integer tables: the closure's reflections are
+    :func:`_lowering_reflections`.  Fixed-space geometry serves the
+    element-level API, the definition of the length table and the
+    ``carter`` campaign's independent check.
     """
     w = g.group
     e = w.element_ids()[g.comps]
@@ -358,17 +355,10 @@ def classify_element(
     # the parabolic closure's reflections are exactly ``below``, and T
     # generates W, so the closure is W exactly when ``below`` is all of T
     whole = len(below) == w.num_reflections
-    witness = None
-    outcomes: set[bool] = set()
-    for fact in reduced_factorizations(g, budget):
-        # the factors lie in the parabolic closure, so they generate it
-        # exactly when their reflection closure is all of ``below``
-        hit = w.reflection_closure(fact) == below
-        outcomes.add(hit)
-        if hit and witness is None:
-            witness = fact
-            if not strict:
-                break
+    # the factors lie in the parabolic closure, so they generate it exactly
+    # when their reflection closure is all of ``below``
+    facts = reduced_factorizations(g, budget)
+    witness = next((f for f in facts if w.reflection_closure(f) == below), None)
     is_pqc = witness is not None
     return Classification(
         element=g,
@@ -377,32 +367,35 @@ def classify_element(
         is_parabolic_quasi_coxeter=is_pqc,
         is_quasi_coxeter=is_pqc and whole,
         witness=witness,
-        all_factorizations_agree=(len(outcomes) <= 1) if strict else None,
     )
 
 
-def is_parabolic_quasi_coxeter(
-    g: GroupElement, strict: bool = False, budget: Budget | None = None
-) -> bool:
-    return classify_element(g, strict=strict, budget=budget).is_parabolic_quasi_coxeter
+def is_parabolic_quasi_coxeter(g: GroupElement, budget: Budget | None = None) -> bool:
+    return classify_element(g, budget=budget).is_parabolic_quasi_coxeter
 
 
-def is_quasi_coxeter(
-    g: GroupElement, strict: bool = False, budget: Budget | None = None
-) -> bool:
-    return classify_element(g, strict=strict, budget=budget).is_quasi_coxeter
+def is_quasi_coxeter(g: GroupElement, budget: Budget | None = None) -> bool:
+    return classify_element(g, budget=budget).is_quasi_coxeter
+
+
+def class_filter(w: CoxeterGroup, keep: Callable[[int], bool]) -> list[int]:
+    """The element ids, in canonical order, whose conjugacy class passes
+    ``keep``, a class function of element ids.  It is asked once per class,
+    of the class's least id, its label in ``w.class_labels``."""
+    labels = w.class_labels
+    passed = [c == e and keep(e) for e, c in enumerate(labels)]
+    return [e for e, c in enumerate(labels) if passed[c]]
 
 
 def quasi_coxeter_elements(w: CoxeterGroup) -> tuple[GroupElement, ...]:
-    """All quasi-Coxeter elements, in canonical order (cached per group)."""
+    """All quasi-Coxeter elements, in canonical order (cached per group),
+    classified once per conjugacy class."""
     if "qc_elements" not in w._cache:
-        n = w.rank
-        found = [
-            g
-            for g, length in zip(w.elements(), length_table(w))
-            if length == n and is_quasi_coxeter(g)
-        ]
-        w._cache["qc_elements"] = tuple(found)
+        elems = w.elements()
+        lengths = length_table(w)
+        w._cache["qc_elements"] = tuple(elems[e] for e in class_filter(
+            w, lambda e: lengths[e] == w.rank and is_quasi_coxeter(elems[e])
+        ))
     return w._cache["qc_elements"]
 
 

@@ -259,15 +259,18 @@ def _items_per_pqc_length(
     check: Callable[[GroupElement, int, Budget | None], tuple[bool, dict]],
 ) -> list[Item]:
     """One item per (parabolic quasi-Coxeter element, offset), in canonical
-    element order, run as ``check(g, l(g) + offset, budget)``."""
+    element order, run as ``check(g, l(g) + offset, budget)``.  Elements are
+    classified once per conjugacy class."""
     _warm_tables(w)
+    elems = w.elements()
+    lengths = absorder.length_table(w)
     items = []
-    for g in w.elements():
-        cls = absorder.classify_element(g)
-        if not cls.is_parabolic_quasi_coxeter:
-            continue
+    for e in absorder.class_filter(
+        w, lambda e: absorder.is_parabolic_quasi_coxeter(elems[e])
+    ):
+        g = elems[e]
         for offset in cfg.offsets:
-            length = cls.length + offset
+            length = lengths[e] + offset
             key = {"item": len(items), "element": g.serialize(), "length": length}
             items.append((key, partial(check, g, length)))
     return items

@@ -42,10 +42,6 @@ class GroupMismatch(CoxorbitsError):
     """Two objects from different group instances were combined."""
 
 
-class NotInSubgroup(CoxorbitsError):
-    """An element was required to lie in a subgroup but does not."""
-
-
 class IndexOutOfRange(CoxorbitsError):
     """A reflection or position index is outside its valid range."""
 

@@ -11,7 +11,12 @@ and both modes of ``check_min_equals_min``.  Fewer than rank reflections
 never generate, so a generating rank-size set is minimal and no test runs
 whose answer the rank fixes.
 
-Three specialized models drive the analysis:
+``_analyze`` decides generation for every family by ``w.generates_whole``,
+on the reflection set alone: a set generates exactly when its closure under
+mutual conjugation is all of T.  Subset sweeps run only up to conjugacy.
+
+Two standalone criteria model classical families; the tests check each
+against ``w.generates_whole``:
 
 * types A/B/D translate reflection sets into signed graphs (transposition
   ``e_i - e_j`` becomes a plain edge, ``e_i + e_j`` a negative edge, the
@@ -19,10 +24,7 @@ Three specialized models drive the analysis:
   plus a loop (B) or a negative cycle (D);
 * dihedral groups reduce to gcd arithmetic on the angle multiples of a
   triple of lines, with a Chinese-remainder construction producing triples
-  that generate while no pair does;
-* everything else decides generation on the reflection set: a set generates
-  exactly when its closure under mutual conjugation is all of T, and
-  subset sweeps run only up to conjugacy.
+  that generate while no pair does.
 """
 from __future__ import annotations
 

@@ -18,8 +18,9 @@ element of a product holds one component per factor.  All fixed-space
 geometry runs on one span routine per factor kind (see ``_Factor``).
 
 Closures that need only the states they reach run on one layered search,
-:func:`breadth_first`: the root system, element closures, conjugacy classes,
-and other modules' searches over reflection subsets and element ids.
+:func:`breadth_first`: the root system, element closures, the conjugacy
+classes of ``class_labels`` (closed on element ids), and other modules'
+searches over reflection subsets and element ids.
 A subgroup closure takes one of two routes.  Once the group's
 ``refl_mult_table`` is built it runs on element ids, adding a generator only
 when it is not yet in the subgroup and moving ids along table rows; the
@@ -50,7 +51,6 @@ from .errors import (
     CapExceeded,
     GroupMismatch,
     IndexOutOfRange,
-    NotInSubgroup,
     UnsupportedType,
 )
 from .linalg import Matrix, Vector
@@ -700,6 +700,30 @@ class CoxeterGroup:
                     rows[v] = [rs[ru[x]] for x in rs]
         return [rows[t] for t in range(self.num_reflections)]
 
+    @cached_property
+    def class_labels(self) -> tuple[int, ...]:
+        """Conjugacy class of each element id, labelled by its least id.
+
+        The simple reflections generate W, so a class is the closure of one
+        member under ``e -> s e s``, which is ``inv[r[inv[r[e]]]]`` for
+        ``s``'s row ``r`` of :attr:`refl_mult_table` and the inverse ids
+        ``inv``: ``s e`` inverted is ``e^-1 s``, and ``s`` times that,
+        inverted, is ``s e s``.  The inverse ids, one ``invert_comps`` per
+        element, serve this table alone."""
+        ids = self.element_ids()
+        inv = [ids[self.invert_comps(g.comps)] for g in self.elements()]
+        rows = [self.refl_mult_table[s] for s in self.simple_reflection_ids]
+        labels = [-1] * len(inv)
+        seen: set[int] = set()
+        for e in range(len(inv)):
+            if labels[e] < 0:  # then no smaller id is in e's class
+                for layer in breadth_first(seen, [e], lambda layer: (
+                    inv[r[inv[r[x]]]] for x in layer for r in rows
+                )):
+                    for x in layer:
+                        labels[x] = e
+        return tuple(labels)
+
     # -- subgroups ---------------------------------------------------------
 
     def closure(self, gens: Iterable[GroupElement]) -> Subgroup:
@@ -777,24 +801,6 @@ class CoxeterGroup:
         """
         return len(self.reflection_closure(refl_ids)) == self.num_reflections
 
-    def conjugacy_class(
-        self, h: GroupElement, sub: Subgroup | None = None
-    ) -> frozenset[GroupElement]:
-        """Conjugacy class of ``h`` under a subgroup (default: whole group)."""
-        if sub is None:
-            gens = [self.reflection(t) for t in self.simple_reflection_ids]
-        else:
-            if h not in sub:
-                raise NotInSubgroup(
-                    f"{h!r} is not in the subgroup"
-                )
-            gens = list(sub.generators)
-        gen_pairs = [(g, g.inverse()) for g in gens]
-        layers = breadth_first(set(), [h], lambda layer: (
-            g * x * ginv for x in layer for g, ginv in gen_pairs
-        ))
-        return frozenset(chain.from_iterable(layers))
-
     def subgroup_key(self, elements: Iterable[GroupElement]) -> str:
         """Content-addressed key: SHA-256 over sorted element serializations."""
         payload = "|".join(sorted(g.serialize() for g in elements))
@@ -847,9 +853,6 @@ class Subgroup:
             for t in self.group.reflection_ids()
             if self.group.reflection(t) in self.elements
         )
-
-    def conjugacy_class(self, h: GroupElement) -> frozenset[GroupElement]:
-        return self.group.conjugacy_class(h, self)
 
 
 def build_group(spec: str, cap: int = DEFAULT_MAX_ELEMENTS) -> CoxeterGroup:

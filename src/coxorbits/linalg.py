@@ -30,10 +30,6 @@ def vector(entries: Iterable[Scalar | int]) -> Vector:
     return tuple(e if isinstance(e, Scalar) else Scalar.from_int(e) for e in entries)
 
 
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """An immutable matrix with :class:`Scalar` entries, stored by rows."""

@@ -4,7 +4,7 @@ from typing import Callable
 import pytest
 
 from coxorbits.groups import build_group
-from coxorbits.linalg import Matrix, kernel_basis, rank, vec_is_zero
+from coxorbits.linalg import Matrix, kernel_basis, rank
 from coxorbits.roots import IrreducibleDatum, gram_matrix
 from coxorbits.scalars import Scalar
 
@@ -48,6 +48,28 @@ def bfs_length_table(label: str) -> tuple[int, ...]:
                     new.append(x)
         frontier = new
     return tuple(dist)
+
+
+def conjugacy_class(h) -> frozenset:
+    """Oracle for the conjugacy class of ``h``: its closure under ``x ->
+    g x g^-1`` for the simple reflections ``g``, which generate the group,
+    by element multiplication.  It reads neither ``refl_mult_table`` nor
+    the package's ``breadth_first``, so its loop is written out here."""
+    w = h.group
+    gens = [w.reflection(s) for s in w.simple_reflection_ids]
+    pairs = [(g, g.inverse()) for g in gens]
+    found = {h}
+    frontier = [h]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, g_inv in pairs:
+                y = g * x * g_inv
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(found)
 
 
 def scalar_reflection(form: Matrix, alpha: tuple) -> Callable[[tuple], tuple]:
@@ -150,4 +172,4 @@ def kernel_contains(m: Matrix, n: Matrix) -> bool:
     ident = Matrix.identity(m.n_rows)
     m_diff = m - ident
     n_diff = n - ident
-    return all(vec_is_zero(m_diff.apply(v)) for v in kernel_basis(n_diff))
+    return all(not any(m_diff.apply(v)) for v in kernel_basis(n_diff))

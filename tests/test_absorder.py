@@ -66,6 +66,20 @@ def coxeter_element(w):
     return g
 
 
+def factorization_verdicts(g) -> set[bool]:
+    """The verdicts, one per reduced factorization of ``g``, on whether it
+    generates the parabolic closure; they provably agree, so the set holds
+    one.  The closure's reflections are those in some reduced
+    factorization: a Hurwitz move brings any factor to the front, and the
+    first factors are the ``t`` with ``l(t g) < l(g)``.  Factors in the
+    closure generate it exactly when their reflection closure is all of
+    them."""
+    w = g.group
+    facts = list(reduced_factorizations(g))
+    below = frozenset(itertools.chain.from_iterable(facts))
+    return {w.reflection_closure(f) == below for f in facts}
+
+
 # -- reflection length -----------------------------------------------------
 
 
@@ -162,8 +176,8 @@ def test_classify_element_reads_only_the_tables(monkeypatch):
     monkeypatch.setattr(DihedralFactor, "span_insert", refuse)
     for w in groups:
         for g in w.elements():
-            cls = classify_element(g, strict=True)
-            assert cls.all_factorizations_agree
+            pqc = classify_element(g).is_parabolic_quasi_coxeter
+            assert factorization_verdicts(g) == {pqc}
 
 
 def test_fixed_space_geometry_runs_on_integers(monkeypatch):
@@ -486,30 +500,28 @@ def test_minus_one_in_b2_b3_not_pqc():
             minus = minus * c
         assert reflection_length(minus) == w.rank
         assert (minus * minus).is_identity
-        res = classify_element(minus, strict=True)
+        res = classify_element(minus)
         assert not res.is_parabolic_quasi_coxeter
         assert not res.is_quasi_coxeter
-        assert res.all_factorizations_agree
+        assert len(factorization_verdicts(minus)) == 1
         assert res.closure_is_whole  # its parabolic closure is everything
 
 
 def test_coxeter_elements_are_quasi_coxeter():
     for label in ["A3", "B3", "D4", "H3", "I2(11)"]:
         w = cached_group(label)
-        res = classify_element(coxeter_element(w), strict=True)
+        res = classify_element(coxeter_element(w))
         assert res.is_quasi_coxeter
         assert res.is_parabolic_quasi_coxeter
-        assert res.all_factorizations_agree
+        assert len(factorization_verdicts(coxeter_element(w))) == 1
         assert res.witness is not None
 
 
-def test_strict_and_witness_modes_agree():
+def test_every_factorization_and_witness_search_agree():
     w = cached_group("B3")
     for g in w.elements()[::6]:
-        assert (
-            classify_element(g, strict=True).is_parabolic_quasi_coxeter
-            == classify_element(g).is_parabolic_quasi_coxeter
-        )
+        pqc = classify_element(g).is_parabolic_quasi_coxeter
+        assert (True in factorization_verdicts(g)) == pqc
 
 
 def test_quasi_coxeter_elements_cache():

@@ -15,6 +15,7 @@ from coxorbits.campaigns import (
     Report,
     _bfs_lengths,
     _coprime_splits,
+    _items_per_pqc_length,
     _min_min_expected,
     comparable_lines,
     golden_diff,
@@ -148,6 +149,26 @@ def test_bfs_lengths_match_rank_route():
     w = cached_group("B3")
     dist = _bfs_lengths(w)
     assert dist == absorder.length_table(w)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "B2xA1", "I2(6)"])
+def test_per_class_callers_match_per_element_classification(label):
+    """``quasi_coxeter_elements`` and the items of ``conjecture`` and
+    ``lr-normal-form`` classify one element per conjugacy class; both equal
+    what classifying every element gives."""
+    w = cached_group(label)
+    classes = [absorder.classify_element(g) for g in w.elements()]
+    assert absorder.quasi_coxeter_elements(w) == tuple(
+        c.element for c in classes if c.length == w.rank and c.is_quasi_coxeter
+    )
+    cfg = CampaignConfig(group=label, campaign="conjecture", offsets=(0, 2))
+    items = _items_per_pqc_length(w, cfg, lambda g, length, budget: (True, {}))
+    assert [(key["element"], key["length"]) for key, _ in items] == [
+        (c.element.serialize(), c.length + offset)
+        for c in classes
+        if c.is_parabolic_quasi_coxeter
+        for offset in (0, 2)
+    ]
 
 
 def test_pqc_campaign_b2():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cached_group,
+    conjugacy_class,
     fixed_space_codim,
     geometric_reflection_perm,
     scalar_reflection,
@@ -585,7 +586,7 @@ def test_conjugacy_classes_of_reflections():
     sizes = set()
     seen = set()
     for t in w.reflection_ids():
-        cls = w.conjugacy_class(w.reflection(t))
+        cls = conjugacy_class(w.reflection(t))
         sizes.add(len(cls))
         seen.update(cls)
     # B3 reflections split into the 6 "diagonal" and 3 "coordinate" ones
@@ -598,8 +599,25 @@ def test_conjugacy_classes_of_reflections():
 def test_conjugacy_single_class_in_a3():
     w = build_group("A3")
     assert len(set(w.refl_class_labels)) == 1
-    cls = w.conjugacy_class(w.reflection(0))
+    cls = conjugacy_class(w.reflection(0))
     assert len(cls) == 6
+
+
+@pytest.mark.parametrize(
+    "label, classes",
+    [("A3", 5), ("B3", 10), ("H3", 10), ("D4", 13), ("B2xA1", 10)],
+)
+def test_class_labels_match_multiplication_oracle(label, classes):
+    """Each element's class label is the least id of its class, as the
+    element-multiplication oracle closes it; the counts are the groups'
+    numbers of conjugacy classes."""
+    w = cached_group(label)
+    ids = w.element_ids()
+    labels = w.class_labels
+    for g in w.elements():
+        cls = conjugacy_class(g)
+        assert labels[ids[g.comps]] == min(ids[x.comps] for x in cls)
+    assert len(set(labels)) == classes
 
 
 def test_refl_tables_consistent():
