@@ -1,27 +1,26 @@
 """Reflection length, absolute order and the quasi-Coxeter classification.
 
-Reflection length is computed geometrically as the codimension of the fixed
-space, never by graph search; the Cayley-graph distance is kept in a separate
-module as an independent check.  Absolute order is the partial order
-``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  All the geometry here runs on the
-factors' span routine (see :mod:`~coxorbits.groups`), without branching on
-the factor kind, and on integers, never on ``Scalar`` values: a vector factor's
-roots are integer lattice vectors and its span is a fraction-free echelon.
-Lengths are moved-space dimensions, and a reflection fixes a common fixed
-space when its root lies in the sum of the moved spaces.
+Reflection length is the Cayley distance over T.  :func:`length_table`
+finds it for the whole group, breadth first along ``refl_mult_table`` rows;
+:func:`reflection_length` computes one element's as the codimension of its
+fixed space (Carter, 1972), and the ``carter`` campaign checks that they
+agree.  Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The
+geometry runs on the factors' span routine (see :mod:`~coxorbits.groups`),
+without branching on the factor kind, and on integers, never on ``Scalar``
+values: a vector factor's roots are integer lattice vectors and its span is
+a fraction-free echelon.
 
 Whole-group queries read only the integer tables, through element ids:
-``length_table`` (one geometric length per element, cached per group) and
-``refl_mult_table``.  They decide "the reflection ``t`` lies below ``g``" by
-one rule, ``l(t g) = l(g) - 1`` (:func:`_lowering_reflections`, the
-reflections fixing ``Fix(g)`` by Carter's lemma): classification, and the
-cached down-set "below some quasi-Coxeter element", the elements reached
-from the quasi-Coxeter elements by steps that each drop the length by one.
-Being (parabolic) quasi-Coxeter is a class function, so whole-group sweeps
-classify one element per conjugacy class and spread its verdict through the
-class table ``w.class_labels`` (:func:`class_filter`).  Fixed-space
-geometry serves the element-level API, which needs no element table, and
-the definition of the length table.
+``length_table`` and ``refl_mult_table``.  They decide "the reflection
+``t`` lies below ``g``" by one rule, ``l(t g) = l(g) - 1``
+(:func:`_lowering_reflections`, the reflections fixing ``Fix(g)`` by
+Carter's lemma): classification, and the cached down-set "below some
+quasi-Coxeter element", the elements reached from the quasi-Coxeter
+elements by steps that each drop the length by one.  Being (parabolic)
+quasi-Coxeter is a class function, so whole-group sweeps classify one
+element per conjugacy class and spread its verdict through the class table
+``w.class_labels`` (:func:`class_filter`).  Fixed-space geometry serves the
+element-level API, which needs no element table.
 
 Every factorization enumeration is one lazy walk over ``refl_mult_table``
 (:func:`factorization_codes`): reduced factorizations, factorizations of a
@@ -67,11 +66,18 @@ def reflection_length(g: GroupElement) -> int:
 
 
 def length_table(w: CoxeterGroup) -> list[int]:
-    """Reflection length of every element, indexed by canonical element id."""
+    """Reflection length of every element, indexed by canonical element id:
+    the Cayley distance over T, layer by layer (cached per group)."""
     if "length_table" not in w._cache:
-        w._cache["length_table"] = [
-            reflection_length(g) for g in w.elements()
-        ]
+        one = w.element_ids()[w.identity.comps]
+        layers = breadth_first(set(), [one], lambda layer: (
+            row[e] for e in layer for row in w.refl_mult_table
+        ))
+        lengths = [0] * len(w.elements())
+        for d, layer in enumerate(layers):
+            for e in layer:
+                lengths[e] = d
+        w._cache["length_table"] = lengths
     return w._cache["length_table"]
 
 
@@ -345,9 +351,7 @@ def classify_element(g: GroupElement, budget: Budget | None = None) -> Classific
     The search stops at the first reduced factorization that generates the
     parabolic closure.  Like every whole-group query it reads only the
     integer tables: the closure's reflections are
-    :func:`_lowering_reflections`.  Fixed-space geometry serves the
-    element-level API, the definition of the length table and the
-    ``carter`` campaign's independent check.
+    :func:`_lowering_reflections`.
     """
     w = g.group
     e = w.element_ids()[g.comps]

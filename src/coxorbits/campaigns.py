@@ -20,9 +20,7 @@ from typing import Callable
 from . import absorder, gensets, hurwitz
 from .budget import Budget
 from .errors import CapExceeded, TypeMismatch
-from .groups import (
-    CoxeterGroup, DihedralFactor, GroupElement, breadth_first, build_group
-)
+from .groups import CoxeterGroup, DihedralFactor, GroupElement, build_group
 
 FORMAT_VERSION = 1
 
@@ -144,21 +142,6 @@ def golden_diff(report_text: str, golden_text: str) -> str | None:
 # -- shared helpers --------------------------------------------------------
 
 
-def _bfs_lengths(w: CoxeterGroup) -> list[int]:
-    """Cayley-graph distances from the identity over the reflection
-    generators, independent of the rank-based length formula."""
-    table = w.refl_mult_table
-    dist = [-1] * len(w.elements())
-    start = w.element_ids()[w.identity.comps]
-    layers = breadth_first(set(), [start], lambda layer: (
-        row[e] for e in layer for row in table
-    ))
-    for d, layer in enumerate(layers):
-        for e in layer:
-            dist[e] = d
-    return dist
-
-
 def _charge(budget: Budget | None, cap: str, amount: int = 1) -> None:
     if budget is not None:
         budget.charge(cap, amount)
@@ -167,9 +150,7 @@ def _charge(budget: Budget | None, cap: str, amount: int = 1) -> None:
 def _warm_tables(w: CoxeterGroup) -> None:
     """Build the shared lazy tables before the first item, so per-item time
     is per-item work."""
-    w.refl_conj_table
     w.reflection_serializations
-    w.simple_reflection_ids
     absorder.length_table(w)
 
 
@@ -178,28 +159,24 @@ def _warm_tables(w: CoxeterGroup) -> None:
 
 def _items_carter(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
     ids = w.element_ids()
-    table = w.refl_mult_table
-    dist = _bfs_lengths(w)
+    lengths = absorder.length_table(w)
     n_refl = w.num_reflections
 
     def check(g, budget):
         _charge(budget, "max_states", n_refl)
         length = absorder.reflection_length(g)
         e = ids[g.comps]
-        bfs = dist[e]
-        below_by_length = {
-            t for t in range(n_refl) if dist[table[t][e]] == dist[e] - 1
-        }
+        below_by_length = set(absorder._lowering_reflections(w, e))
         fixing = absorder.reflections_fixing(g)
         # the parabolic closure, closed here on the reflections just found
         closure = w.closure([w.reflection(t) for t in fixing])
         ok = (
-            length == bfs
+            length == lengths[e]
             and below_by_length == set(fixing) == set(closure.reflection_ids)
         )
         return ok, {
             "length": length,
-            "bfs_length": bfs,
+            "bfs_length": lengths[e],
             "reflections_below": len(below_by_length),
         }
 

@@ -18,15 +18,12 @@ element of a product holds one component per factor.  All fixed-space
 geometry runs on one span routine per factor kind (see ``_Factor``).
 
 Closures that need only the states they reach run on one layered search,
-:func:`breadth_first`: the root system, element closures, the conjugacy
-classes of ``class_labels`` (closed on element ids), and other modules'
-searches over reflection subsets and element ids.
-A subgroup closure takes one of two routes.  Once the group's
-``refl_mult_table`` is built it runs on element ids, adding a generator only
-when it is not yet in the subgroup and moving ids along table rows; the
-subgroup's members are then the cached elements.  Before that it multiplies
-element components under every generator, which needs no element table and
-stops at the element cap.
+:func:`breadth_first`: the root system, the conjugacy classes of
+``class_labels`` (closed on element ids), and other modules' searches over
+reflection subsets and element ids.  Closures on element components number
+their members, so they are written out (``_closure_comps``); one such pass
+yields the elements and the simple rows of ``refl_mult_table``, after which
+subgroup closures run on element ids (see :meth:`CoxeterGroup.closure`).
 
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
@@ -641,54 +638,48 @@ class CoxeterGroup:
 
     # -- materialization ---------------------------------------------------
 
-    def _forbid_whole_group(self) -> None:
+    @cached_property
+    def _whole_group(self) -> tuple[tuple[GroupElement, ...], dict, list[list[int]]]:
+        """The elements in canonical (serialization) order, their ids, and
+        the simple reflections' rows of :attr:`refl_mult_table`, in
+        ``simple_reflection_ids`` order: one closure pass, renumbered."""
         for ir in self.datum.factors:
             if ir.family == "E" and ir.rank >= 7:
                 raise UnsupportedType(
                     f"whole-group computations are not supported for {ir.label}; "
                     "root-level operations still work"
                 )
+        if self.census_order > self.cap:
+            raise CapExceeded("max_elements", self.cap, self.census_order)
+        gens = [self.reflection(t).comps for t in self.simple_reflection_ids]
+        members, rows = self._closure_comps(gens)
+        assert len(members) == self.census_order, (len(members), self.census_order)
+        keys = [self.serialize_comps(c) for c in members]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        canon = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+        for row in rows:  # in place, so one row's copy is alive at a time
+            row[:] = [canon[row[x]] for x in order]
+        ids = {members[x]: canon[x] for x in order}  # ints shared with the rows
+        return tuple(GroupElement(self, members[x]) for x in order), ids, rows
 
     def elements(self) -> tuple[GroupElement, ...]:
         """All elements, in canonical (serialization) order."""
-        if "elements" not in self._cache:
-            self._forbid_whole_group()
-            if self.census_order > self.cap:
-                raise CapExceeded("max_elements", self.cap, self.census_order)
-            gens = [self.reflection(t).comps for t in self.simple_reflection_ids]
-            seen = self._closure_comps(gens)
-            assert len(seen) == self.census_order, (len(seen), self.census_order)
-            ordered = sorted(seen, key=self.serialize_comps)
-            self._cache["elements"] = tuple(
-                GroupElement(self, c) for c in ordered
-            )
-        return self._cache["elements"]
+        return self._whole_group[0]
 
     def element_ids(self) -> dict[tuple[Comp, ...], int]:
-        if "element_ids" not in self._cache:
-            self._cache["element_ids"] = {
-                g.comps: i for i, g in enumerate(self.elements())
-            }
-        return self._cache["element_ids"]
+        return self._whole_group[1]
 
     @cached_property
     def refl_mult_table(self) -> list[list[int]]:
         """``table[t][e]`` is the element id of ``reflection(t) * element(e)``.
 
-        Only the simple reflections' rows multiply element components.  A
-        breadth-first pass over ``refl_conj_table`` from the simple ids
-        reaches every other reflection ``v`` as ``s u s``, with ``s`` simple
-        and ``u``'s row already built, and then ``table[v][e] =
-        table[s][table[u][table[s][e]]]``.  It reaches them all, since each
-        reflection is conjugate to a simple one by simple reflections of its
-        own factor."""
-        elems = self.elements()
-        ids = self.element_ids()
+        The simple rows come from the closure pass of :meth:`elements`.  A
+        breadth-first pass over ``refl_conj_table`` reaches every other
+        reflection ``v`` as ``s u s``, with ``s`` simple and ``u``'s row built,
+        so ``table[v][e] = table[s][table[u][table[s][e]]]``; it reaches them
+        all, as each is conjugate to a simple one inside its own factor."""
         simple = self.simple_reflection_ids
-        rows = {}
-        for s in simple:
-            rc = self.reflection(s).comps
-            rows[s] = [ids[self.multiply_comps(rc, g.comps)] for g in elems]
+        rows = dict(zip(simple, self._whole_group[2]))
         conj = self.refl_conj_table
         for layer in breadth_first(set(), list(simple), lambda layer: (
             conj[u][s] for u in layer for s in simple
@@ -733,9 +724,9 @@ class CoxeterGroup:
         (:meth:`_closure_ids`), and its members are the cached
         :meth:`elements`.  Otherwise it multiplies element components
         (:meth:`_closure_comps`), which builds no table: E7/E8 closures run
-        there, and a one-off closure on a big group does not pay for one.
-        Only this route can raise :class:`CapExceeded`, past ``cap``
-        elements.  Both routes give the same :class:`Subgroup`."""
+        there, and a one-off closure on a big group does not pay for one;
+        only it can raise :class:`CapExceeded`.  Both routes give the same
+        :class:`Subgroup`."""
         gens = tuple(gens)
         for g in gens:
             if g.group is not self:
@@ -744,7 +735,7 @@ class CoxeterGroup:
             elems = self.elements()
             members = frozenset(elems[x] for x in self._closure_ids(gens))
         else:
-            comps = self._closure_comps([g.comps for g in gens])
+            comps, _ = self._closure_comps([g.comps for g in gens])
             members = frozenset(GroupElement(self, c) for c in comps)
         return Subgroup(self, gens, members)
 
@@ -782,15 +773,25 @@ class CoxeterGroup:
 
     def _closure_comps(
         self, gen_comps: list[tuple[Comp, ...]]
-    ) -> set[tuple[Comp, ...]]:
-        seen: set[tuple[Comp, ...]] = set()
-        start = list({self.identity.comps, *gen_comps})
-        for _ in breadth_first(seen, start, lambda layer: (
-            self.multiply_comps(g, s) for g in layer for s in gen_comps
-        )):
-            if len(seen) > self.cap:
-                raise CapExceeded("max_elements", self.cap)
-        return seen
+    ) -> tuple[list[tuple[Comp, ...]], list[list[int]]]:
+        """The members of the subgroup ``gen_comps`` generate, numbered as a
+        breadth-first closure under ``g -> s g`` finds them from the identity,
+        and for each generator ``s`` the row of indices of ``s g``.  Written
+        out rather than on :func:`breadth_first`, whose seen set does not
+        number states.  Raises :class:`CapExceeded` past ``cap`` members."""
+        members = [self.identity.comps]
+        index = {members[0]: 0}
+        rows: list[list[int]] = [[] for _ in gen_comps]
+        for g in members:  # members grows behind the loop, in discovery order
+            for s, row in zip(gen_comps, rows):
+                h = self.multiply_comps(s, g)
+                x = index.setdefault(h, len(members))
+                if x == len(members):
+                    if x == self.cap:
+                        raise CapExceeded("max_elements", self.cap)
+                    members.append(h)
+                row.append(x)
+        return members, rows
 
     def generates_whole(self, refl_ids: Iterable[int]) -> bool:
         """Whether the given reflections generate the full group.

@@ -117,7 +117,12 @@ def hurwitz_move(
     ``i`` and ``i+1`` of the tuple).
 
     The left move sends ``(.., a, b, ..)`` to ``(.., b, b a b, ..)``; the
-    right move is its inverse, ``(.., a b a, a, ..)``.
+    right move is its inverse, ``(.., a b a, a, ..)``.  In B2, reflections 2
+    and 3 are ``s_1 s_0 s_1`` and ``s_0 s_1 s_0``:
+
+    >>> f = Factorization(CoxeterGroup("B2"), (0, 1))
+    >>> hurwitz_move(f, 1).factors, hurwitz_move(f, 1, "right").factors
+    ((1, 2), (3, 0))
     """
     t = fact.factors
     if not 1 <= i <= len(t) - 1:
@@ -288,7 +293,12 @@ def hurwitz_orbit(
     budget: Budget | None = None,
 ) -> HurwitzOrbit:
     """The full orbit through ``fact``, with representative, size, invariant
-    and a left-normal-shape witness when one exists."""
+    and a left-normal-shape witness when one exists.
+
+    >>> orbit = hurwitz_orbit(Factorization(CoxeterGroup("B2"), (0, 1)))
+    >>> orbit.representative.factors, orbit.size, orbit.lr_witness
+    ((0, 1), 4, (0, 1))
+    """
     w = fact.group
     seen, witness = _walk_factorization(fact, budget)
     least = decode(min(seen), len(fact), w.num_reflections)
@@ -554,6 +564,9 @@ def find_lr_witness(
     pairs followed by a reduced factorization of the product.
 
     Raises :class:`ShapeNotFound` if the orbit contains no such member.
+
+    >>> find_lr_witness(Factorization(CoxeterGroup("B2"), (0, 1, 0, 0))).factors
+    (0, 0, 3, 0)
     """
     _, witness = _walk_factorization(fact, budget)
     if witness is None:
@@ -565,7 +578,12 @@ def find_lr_witness(
 
 def is_lr_shape(fact: Factorization) -> bool:
     """Whether ``fact`` consists of doubled pairs followed by a reduced
-    factorization of its product: the walk's shape test on its code."""
+    factorization of its product: the walk's shape test on its code.
+
+    >>> w = CoxeterGroup("B2")
+    >>> [is_lr_shape(Factorization(w, f)) for f in [(0, 0, 0, 1), (0, 1, 0, 0)]]
+    [True, False]
+    """
     n_refl = fact.group.num_reflections
     in_shape = _lr_shape(n_refl, len(fact), reflection_length(fact.product()))
     return in_shape is not None and in_shape(encode(fact.factors, n_refl))

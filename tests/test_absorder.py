@@ -91,6 +91,16 @@ def test_length_matches_bfs_oracle(label):
     assert list(bfs) == carter
 
 
+@pytest.mark.parametrize(
+    "label", ["B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(7)"]
+)
+def test_length_table_matches_geometric_length(label):
+    """The Cayley distance over T equals the codimension of the fixed space
+    (Carter's lemma) on every element."""
+    w = cached_group(label)
+    assert absorder.length_table(w) == [reflection_length(g) for g in w.elements()]
+
+
 def test_length_of_special_elements():
     w = cached_group("A3")
     assert reflection_length(w.identity) == 0

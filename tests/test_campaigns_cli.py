@@ -13,7 +13,6 @@ from coxorbits.budget import Budget
 from coxorbits.campaigns import (
     CampaignConfig,
     Report,
-    _bfs_lengths,
     _coprime_splits,
     _items_per_pqc_length,
     _min_min_expected,
@@ -143,12 +142,6 @@ def test_carter_campaign_b3(label, order):
     assert (report.checked, report.failed) == (order, 0)
     for record in records_of(report)[2:-1]:
         assert record["length"] == record["bfs_length"]
-
-
-def test_bfs_lengths_match_rank_route():
-    w = cached_group("B3")
-    dist = _bfs_lengths(w)
-    assert dist == absorder.length_table(w)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "B2xA1", "I2(6)"])
