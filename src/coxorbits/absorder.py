@@ -55,7 +55,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .budget import Budget
 from .errors import BadFactorization, GroupMismatch
-from .groups import CoxeterGroup, GroupElement, Subgroup, breadth_first
+from .groups import CoxeterGroup, GroupElement, Subgroup, breadth_first, per_group
 
 
 def reflection_length(g: GroupElement) -> int:
@@ -65,24 +65,29 @@ def reflection_length(g: GroupElement) -> int:
     )
 
 
+@per_group
 def length_table(w: CoxeterGroup) -> list[int]:
     """Reflection length of every element, indexed by canonical element id:
-    the Cayley distance over T, layer by layer (cached per group)."""
-    if "length_table" not in w._cache:
-        one = w.element_ids()[w.identity.comps]
-        layers = breadth_first(set(), [one], lambda layer: (
-            row[e] for e in layer for row in w.refl_mult_table
-        ))
-        lengths = [0] * len(w.elements())
-        for d, layer in enumerate(layers):
-            for e in layer:
-                lengths[e] = d
-        w._cache["length_table"] = lengths
-    return w._cache["length_table"]
+    the Cayley distance over T, layer by layer."""
+    one = w.element_ids()[w.identity.comps]
+    layers = breadth_first(set(), [one], lambda layer: (
+        row[e] for e in layer for row in w.refl_mult_table
+    ))
+    lengths = [0] * len(w.elements())
+    for d, layer in enumerate(layers):
+        for e in layer:
+            lengths[e] = d
+    return lengths
 
 
 def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
-    """Absolute order: ``u`` lies on a geodesic from the identity to ``v``."""
+    """Absolute order: ``u`` lies on a geodesic from the identity to ``v``.
+
+    >>> w = CoxeterGroup("B2")
+    >>> s, t = w.reflection(0), w.reflection(1)
+    >>> absolute_leq(s, s * t), absolute_leq(s * t, s)
+    (True, False)
+    """
     if u.group is not v.group:
         raise GroupMismatch("absolute order compares elements of one group")
     return reflection_length(u) + reflection_length(u.inverse() * v) == reflection_length(v)
@@ -111,14 +116,24 @@ def reflections_fixing(g: GroupElement) -> tuple[int, ...]:
 
 def parabolic_closure(g: GroupElement) -> Subgroup:
     """The smallest parabolic subgroup containing ``g``: the subgroup
-    generated by the reflections fixing ``Fix(g)`` pointwise."""
+    generated by the reflections fixing ``Fix(g)`` pointwise.
+
+    >>> w = CoxeterGroup("B2")  # two commuting reflections fix only 0
+    >>> parabolic_closure(w.reflection(0) * w.reflection(2)).is_whole_group
+    True
+    """
     w = g.group
     return w.closure([w.reflection(t) for t in reflections_fixing(g)])
 
 
 def is_parabolic(sub: Subgroup) -> bool:
     """Whether a reflection subgroup is the pointwise stabilizer of its own
-    fixed space."""
+    fixed space.  Two commuting reflections of B2 are not: they fix only 0.
+
+    >>> w = CoxeterGroup("B2")
+    >>> [is_parabolic(w.closure(w.reflection(t) for t in s)) for s in [(0,), (0, 2)]]
+    [True, False]
+    """
     w = sub.group
     gen_comps = [g.comps for g in sub.generators]
     ids = _fixing_reflections(w, gen_comps)
@@ -270,12 +285,9 @@ def walk_size(
     return size
 
 
+@per_group
 def _walk_size(w: CoxeterGroup, e: int, n: int) -> WalkSize:
-    """:func:`walk_size` on element ids, for ``n >= 0`` (cached per
-    group)."""
-    memo = w._cache.setdefault("walk_sizes", {})
-    if (e, n) in memo:
-        return memo[e, n]
+    """:func:`walk_size` on element ids, for ``n >= 0``."""
     lengths = length_table(w)
     if n < lengths[e] or (n - lengths[e]) % 2:
         return WalkSize(0, 0)
@@ -287,8 +299,7 @@ def _walk_size(w: CoxeterGroup, e: int, n: int) -> WalkSize:
             below = _walk_size(w, row[e], n - 1)
             codes += below.codes
             visits += below.visits
-    memo[e, n] = WalkSize(codes, visits + 1)
-    return memo[e, n]
+    return WalkSize(codes, visits + 1)
 
 
 def factorizations(
@@ -391,20 +402,20 @@ def class_filter(w: CoxeterGroup, keep: Callable[[int], bool]) -> list[int]:
     return [e for e, c in enumerate(labels) if passed[c]]
 
 
+@per_group
 def quasi_coxeter_elements(w: CoxeterGroup) -> tuple[GroupElement, ...]:
-    """All quasi-Coxeter elements, in canonical order (cached per group),
-    classified once per conjugacy class."""
-    if "qc_elements" not in w._cache:
-        elems = w.elements()
-        lengths = length_table(w)
-        w._cache["qc_elements"] = tuple(elems[e] for e in class_filter(
-            w, lambda e: lengths[e] == w.rank and is_quasi_coxeter(elems[e])
-        ))
-    return w._cache["qc_elements"]
+    """All quasi-Coxeter elements, in canonical order, classified once per
+    conjugacy class."""
+    elems = w.elements()
+    lengths = length_table(w)
+    return tuple(elems[e] for e in class_filter(
+        w, lambda e: lengths[e] == w.rank and is_quasi_coxeter(elems[e])
+    ))
 
 
+@per_group
 def _below_quasi_coxeter_ids(w: CoxeterGroup) -> frozenset[int]:
-    """Ids of the elements below some quasi-Coxeter element (cached).
+    """Ids of the elements below some quasi-Coxeter element.
 
     A search from the quasi-Coxeter elements down the steps ``q -> t q``
     with ``l(t q) = l(q) - 1``.  It reaches exactly the ``x`` with
@@ -412,15 +423,13 @@ def _below_quasi_coxeter_ids(w: CoxeterGroup) -> frozenset[int]:
     of ``y`` and length is a class function, those are the ``x <= q`` in
     absolute order.
     """
-    if "below_qc" not in w._cache:
-        mult = w.refl_mult_table
-        ids = w.element_ids()
-        tops = [ids[c.comps] for c in quasi_coxeter_elements(w)]
-        layers = breadth_first(set(), tops, lambda layer: (
-            mult[t][q] for q in layer for t in _lowering_reflections(w, q)
-        ))
-        w._cache["below_qc"] = frozenset(chain.from_iterable(layers))
-    return w._cache["below_qc"]
+    mult = w.refl_mult_table
+    ids = w.element_ids()
+    tops = [ids[c.comps] for c in quasi_coxeter_elements(w)]
+    layers = breadth_first(set(), tops, lambda layer: (
+        mult[t][q] for q in layer for t in _lowering_reflections(w, q)
+    ))
+    return frozenset(chain.from_iterable(layers))
 
 
 def below_some_quasi_coxeter(g: GroupElement) -> bool:
@@ -464,6 +473,7 @@ class _FullSearch(NamedTuple):
     expanded: int
 
 
+@per_group
 def _full_search(
     w: CoxeterGroup, q: int, remaining: int, closed: frozenset[int]
 ) -> _FullSearch:
@@ -480,34 +490,32 @@ def _full_search(
     ``(t q, remaining - 1, closure(closed | {t}))`` for the ``t`` with
     ``l(t q) < remaining``, up to the first that succeeds.
 
-    States and closure steps are memoized per group; the loop looks a
-    child state up before it recurses.  Equal closures are kept as one
-    object, so the state memo compares them by identity.
+    States and closure steps (:func:`_closure_step`) are memoized.
     """
-    memo = w._cache.setdefault("full_search", {})
-    steps = w._cache.setdefault("closure_steps", {})
-    sets = w._cache.setdefault("closed_sets", {})
     lengths = length_table(w)
     if len(closed) == w.num_reflections:
-        state = _FullSearch(lengths[q] <= remaining, 0)
-    elif remaining == 0:
-        state = _FullSearch(False, 0)
-    else:
-        found, expanded = False, 1
-        for t, row in enumerate(w.refl_mult_table):
-            if lengths[row[q]] < remaining:
-                after = steps.get((closed, t))
-                if after is None:
-                    after = w.reflection_closure(closed | {t})
-                    after = steps[closed, t] = sets.setdefault(after, after)
-                key = (row[q], remaining - 1, after)
-                below = memo.get(key)
-                if below is None:
-                    below = _full_search(w, *key)
-                expanded += below.expanded
-                if below.found:
-                    found = True
-                    break
-        state = _FullSearch(found, expanded)
-    memo[q, remaining, closed] = state
-    return state
+        return _FullSearch(lengths[q] <= remaining, 0)
+    if remaining == 0:
+        return _FullSearch(False, 0)
+    expanded = 1
+    for t, row in enumerate(w.refl_mult_table):
+        if lengths[row[q]] < remaining:
+            after = _closure_step(w, closed, t)
+            below = _full_search(w, row[q], remaining - 1, after)
+            expanded += below.expanded
+            if below.found:
+                return _FullSearch(True, expanded)
+    return _FullSearch(False, expanded)
+
+
+@per_group
+def _closure_step(w: CoxeterGroup, closed: frozenset[int], t: int) -> frozenset:
+    """``w.reflection_closure(closed | {t})`` as the one object kept for that
+    set (:func:`_interned`), which the state memo compares by identity."""
+    return _interned(w, w.reflection_closure(closed | {t}))
+
+
+@per_group
+def _interned(w: CoxeterGroup, closed: frozenset[int]) -> frozenset[int]:
+    """The first set equal to ``closed`` that was passed here."""
+    return closed

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -19,7 +20,7 @@ from typing import Callable
 
 from . import absorder, gensets, hurwitz
 from .budget import Budget
-from .errors import CapExceeded, TypeMismatch
+from .errors import CapExceeded
 from .groups import CoxeterGroup, DihedralFactor, GroupElement, build_group
 
 FORMAT_VERSION = 1
@@ -67,13 +68,7 @@ class CampaignConfig:
         :class:`Budget`).
         """
         caps = (self.max_tuples, self.max_mem_mb, self.timeout_s)
-        if all(x is None for x in caps):
-            return None
-        return Budget(
-            max_tuples=self.max_tuples,
-            max_mem_mb=self.max_mem_mb,
-            timeout_s=self.timeout_s,
-        )
+        return None if caps == (None, None, None) else Budget(*caps)
 
     def config_record(self) -> dict:
         """The config echoed into the report header: every field, so a
@@ -118,11 +113,9 @@ def comparable_lines(text: str) -> list[str]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
+            record = None
+        if not (isinstance(record, dict) and "timestamp" in record):
             out.append(line)
-            continue
-        if isinstance(record, dict) and "timestamp" in record:
-            continue
-        out.append(line)
     return out
 
 
@@ -358,11 +351,7 @@ def _coprime_splits(m: int) -> list[tuple[int, int, int]]:
 
 
 def _items_crt(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
-    if len(w.factors) != 1 or not isinstance(w.factors[0], DihedralFactor):
-        raise TypeMismatch(
-            f"the dihedral-crt campaign needs an I2(m) group, not {w.name}"
-        )
-    m = w.factors[0].m
+    m = gensets._dihedral_factor(w).m
     items = []
     for index, (p, q, r) in enumerate(_coprime_splits(m)):
 
@@ -433,9 +422,10 @@ def run_campaign(cfg: CampaignConfig) -> Report:
 
     ``max_elements`` caps the group, not an item: a campaign that lists the
     whole group raises :class:`CapExceeded` before any item when the group
-    is larger.  The other caps are per item.  Items run in enumeration order, each with a fresh budget; the
-    deadline is checked once more after an item returns, so an item that
-    never charges its budget still cannot overrun ``timeout_s``.
+    is larger.  The other caps are per item.  Items run in enumeration
+    order, each with a fresh budget; the deadline is checked once more after
+    an item returns, so an item that never charges its budget still cannot
+    overrun ``timeout_s``.
     """
     cap = cfg.max_elements
     w = build_group(cfg.group) if cap is None else build_group(cfg.group, cap=cap)
@@ -452,35 +442,14 @@ def run_campaign(cfg: CampaignConfig) -> Report:
         return {**key, "status": "pass" if passed else "fail", **payload}
 
     records = [run_item(item) for item in items]
-
-    passed = sum(1 for r in records if r["status"] == "pass")
-    failed = sum(1 for r in records if r["status"] == "fail")
-    skipped = sum(1 for r in records if r["status"] == "skip")
-    lines = [
+    status = Counter(r["status"] for r in records)
+    summary = {"checked": len(records), "passed": status["pass"],
+               "failed": status["fail"], "skipped": status["skip"]}
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    lines = (
         _encode({"format": FORMAT_VERSION, "config": cfg.config_record()}),
-        _encode(
-            {
-                "timestamp": datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"
-                )
-            }
-        ),
+        _encode({"timestamp": stamp}),
         *(_encode(r) for r in records),
-        _encode(
-            {
-                "summary": {
-                    "checked": len(records),
-                    "passed": passed,
-                    "failed": failed,
-                    "skipped": skipped,
-                }
-            }
-        ),
-    ]
-    return Report(
-        lines=tuple(lines),
-        checked=len(records),
-        passed=passed,
-        failed=failed,
-        skipped=skipped,
+        _encode({"summary": summary}),
     )
+    return Report(lines=lines, **summary)

@@ -246,10 +246,13 @@ def dihedral_triple_of(
     consecutive lines, the multiples are ``A12 = m - g1``, ``A23 = m - g2``,
     ``A13 = m - g3``, which makes the sum 2m and ``gcd(A_ij, m)`` equal the
     gcd of the corresponding index difference with m.
+
+    >>> w = CoxeterGroup("I2(6)")
+    >>> dihedral_triple_of(w.reflection(0), w.reflection(1), w.reflection(3))
+    DihedralTriple(m=6, a12=5, a13=3, a23=4)
     """
     w = r1.group
-    factor = _dihedral_factor(w)
-    m = factor.m
+    m = _dihedral_factor(w).m
     lines = []
     for r in (r1, r2, r3):
         if r.group is not w:
@@ -285,7 +288,11 @@ def dihedral_pair_generates(triple: DihedralTriple, pair: tuple[int, int]) -> bo
 
 
 def dihedral_pair_subgroup_order(triple: DihedralTriple, pair: tuple[int, int]) -> int:
-    """Order of the dihedral subgroup generated by the pair of lines."""
+    """Order of the dihedral subgroup generated by the pair of lines.
+
+    >>> dihedral_pair_subgroup_order(DihedralTriple(6, 5, 3, 4), (1, 3))
+    4
+    """
     return 2 * triple.m // gcd(_pair_angle(triple, pair), triple.m)
 
 
@@ -410,7 +417,11 @@ def _graph_model(
 def signed_graph_of(
     w: CoxeterGroup, refl_ids: Iterable[int], family: str | None = None
 ) -> SignedGraph:
-    """Translate reflections of an A/B/D group into a signed graph."""
+    """Translate reflections of an A/B/D group into a signed graph.
+
+    >>> signed_graph_of(CoxeterGroup("A3"), [0, 1, 2])
+    SignedGraph(n=4, edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
+    """
     _, edge_of, vertices = _graph_model(w, family)
     ids = set(refl_ids)
     w.check_reflection_ids(ids)
@@ -419,7 +430,12 @@ def signed_graph_of(
 
 
 def reflections_of_graph(w: CoxeterGroup, graph: SignedGraph) -> tuple[int, ...]:
-    """Inverse translation: the reflection ids realizing a signed graph."""
+    """Inverse translation: the reflection ids realizing a signed graph.
+
+    >>> path = SignedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
+    >>> reflections_of_graph(CoxeterGroup("A3"), path)
+    (0, 1, 2)
+    """
     factor, edge_of, vertices = _graph_model(w, None)
     if graph.n != vertices:
         raise TypeMismatch(f"graph on {graph.n} vertices, group needs {vertices}")
@@ -475,20 +491,16 @@ def _negative_chord(
     return None
 
 
-def _validate_graph(graph: SignedGraph, family: str) -> None:
-    if family not in _GRAPH_FAMILIES:
-        raise TypeMismatch(f"no graph criterion for family {family!r}")
-    if family in ("A", "D") and graph.loops:
-        raise TypeMismatch(f"type {family} graphs cannot carry loops")
-
-
 def graph_generation_test(graph: SignedGraph, family: str) -> bool:
     """The graph-theoretic generation criterion.
 
     Type A: connected.  Type B: connected with at least one loop.  Type D:
     connected with a negative cycle (some cycle with an odd number of
     ``e_i + e_j`` edges)."""
-    _validate_graph(graph, family)
+    if family not in _GRAPH_FAMILIES:
+        raise TypeMismatch(f"no graph criterion for family {family!r}")
+    if family in ("A", "D") and graph.loops:
+        raise TypeMismatch(f"type {family} graphs cannot carry loops")
     _, parity, components = _spanning_forest(graph)
     if components != 1:
         return False
@@ -502,7 +514,12 @@ def graph_generation_test(graph: SignedGraph, family: str) -> bool:
 def extract_minimum_subset(graph: SignedGraph, family: str) -> SignedGraph:
     """A rank-size generating subset inside a generating graph: a spanning
     tree (A), a spanning tree plus a loop (B), or a spanning unicycle whose
-    cycle is negative (D)."""
+    cycle is negative (D).
+
+    >>> w = CoxeterGroup("B3")
+    >>> extract_minimum_subset(signed_graph_of(w, w.reflection_ids()), "B")
+    SignedGraph(n=3, edges=((0, 0, 1), (0, 1, -1), (0, 2, -1)))
+    """
     if not graph_generation_test(graph, family):
         raise NotGenerating(f"graph does not generate a type-{family} group")
     tree, parity, _ = _spanning_forest(graph)

@@ -28,7 +28,8 @@ subgroup closures run on element ids (see :meth:`CoxeterGroup.closure`).
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
 content-addressed keys of subgroups.  Python's salted ``hash`` is never used
-for anything observable.
+for anything observable.  The group's own tables are cached properties; the
+other modules' per-group memos all live in ``w.memos`` (:func:`per_group`).
 
 Whole-group materialization is guarded by an element cap (default 200,000),
 and E7/E8 are refused outright; their root systems still work, so reflections
@@ -37,9 +38,10 @@ and subgroup closures below the cap remain available.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, zip_longest
+from functools import cached_property, wraps
+from itertools import accumulate, chain, zip_longest
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -83,6 +85,26 @@ def breadth_first(
                 seen.add(x)
                 new.append(x)
         layer = new
+
+
+_MISSING = object()
+
+
+def per_group(fn: Callable) -> Callable:
+    """Memoize ``fn(w, *args)`` per group ``w`` and argument tuple in
+    ``w.memos[fn.__name__]``, the one store of per-group memos: its entry
+    counts size every memo, and ``w.memos.clear()`` drops them all."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoized(w: CoxeterGroup, *args):
+        memo = w.memos[name]
+        value = memo.get(args, _MISSING)
+        if value is _MISSING:
+            value = memo[args] = fn(w, *args)
+        return value
+
+    return memoized
 
 
 def _z_phi(x: Scalar) -> tuple[int, int]:
@@ -495,13 +517,10 @@ class CoxeterGroup:
             _make_factor(ir) for ir in datum.factors
         )
         self.census_order, self.num_reflections = roots.census(datum)
-        built = sum(f.num_reflections for f in self.factors)
+        *self._offsets, built = accumulate(
+            (f.num_reflections for f in self.factors), initial=0
+        )
         assert built == self.num_reflections, (built, self.num_reflections)
-        self._offsets = []
-        off = 0
-        for f in self.factors:
-            self._offsets.append(off)
-            off += f.num_reflections
         self._locate = tuple(
             (fi, local)
             for fi, f in enumerate(self.factors)
@@ -510,7 +529,7 @@ class CoxeterGroup:
         self.identity = GroupElement(
             self, tuple(f.identity_comp() for f in self.factors)
         )
-        self._cache: dict = {}
+        self.memos: defaultdict[str, dict] = defaultdict(dict)
 
     # -- basics ------------------------------------------------------------
 
@@ -564,10 +583,8 @@ class CoxeterGroup:
 
     @cached_property
     def simple_reflection_ids(self) -> tuple[int, ...]:
-        out = []
-        for fi, f in enumerate(self.factors):
-            out.extend(self._offsets[fi] + s for s in f.simple_refl_local)
-        return tuple(out)
+        return tuple(off + s for off, f in zip(self._offsets, self.factors)
+                     for s in f.simple_refl_local)
 
     def conj_refl(self, a: int, b: int) -> int:
         """Global id of ``t_b t_a t_b``."""

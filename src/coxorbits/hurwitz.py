@@ -61,7 +61,7 @@ from .absorder import (
 )
 from .budget import Budget
 from .errors import BadFactorization, IndexOutOfRange, ShapeNotFound
-from .groups import CoxeterGroup, GroupElement
+from .groups import CoxeterGroup, GroupElement, per_group
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
     closure under the support, labelled by its least serialization.  All
     but the multiset depends on the generated subgroup alone
     (:func:`_support_data`)."""
-    key, order, labels = _support_data(w, factors)
+    key, order, labels = _support_data(w, w.reflection_closure(factors))
     return OrbitInvariant(
         subgroup_key=key,
         subgroup_order=order,
@@ -153,44 +153,43 @@ def orbit_invariant(w: CoxeterGroup, factors: tuple[int, ...]) -> OrbitInvariant
     )
 
 
+@per_group
 def _support_data(
-    w: CoxeterGroup, support: tuple[int, ...]
+    w: CoxeterGroup, refls: frozenset[int]
 ) -> tuple[str, int, dict[int, str]]:
-    """The key and order of the subgroup ``support`` generates, and the
-    class label within it of each of its reflections.
+    """The key and order of the reflection subgroup whose reflections are
+    ``refls``, and the class label within it of each of them.  A reflection
+    subgroup is fixed by its reflection set (Dyer, *Reflection subgroups of
+    Coxeter systems*, 1990), so supports that generate the same subgroup
+    share one entry.  It is generated by the members of ``refls`` that the
+    earlier ones do not reach: without an element table (E7, E8) a closure
+    multiplies every element by every generator.  Each class is closed once."""
+    gens: list[int] = []
+    for t in sorted(refls):
+        if t not in w.reflection_closure(gens):
+            gens.append(t)
+    sub = w.closure([w.reflection(t) for t in gens])
+    serial = w.reflection_serializations
+    labels: dict[int, str] = {}
+    for t in sorted(refls):
+        if t not in labels:
+            members = w.reflection_closure([t], gens)
+            labels.update(dict.fromkeys(members, min(serial[x] for x in members)))
+    return sub.canonical_key, sub.order, labels
 
-    Cached per group and subgroup: a reflection subgroup is fixed by its
-    reflection set, ``w.reflection_closure(support)`` (Dyer, *Reflection
-    subgroups of Coxeter systems*, 1990), so supports that generate the
-    same subgroup share one entry.  Each class is closed once."""
-    memo = w._cache.setdefault("support_data", {})
-    refls = w.reflection_closure(support)
-    if refls not in memo:
-        gens = sorted(set(support))
-        sub = w.closure([w.reflection(t) for t in gens])
-        serial = w.reflection_serializations
-        labels: dict[int, str] = {}
-        for t in sorted(refls):
-            if t not in labels:
-                members = w.reflection_closure([t], gens)
-                labels.update(dict.fromkeys(members, min(serial[x] for x in members)))
-        memo[refls] = (sub.canonical_key, sub.order, labels)
-    return memo[refls]
 
-
+@per_group
 def _move_deltas(w: CoxeterGroup) -> list[int]:
-    """What a left move adds to a pair's two-digit code (cached per group):
+    """What a left move adds to a pair's two-digit code:
     ``(a, b) -> (b, b a b)`` adds ``(b - a) N + (conj[a][b] - b)`` to
     ``a N + b``, where ``N = |T|``."""
-    if "move_deltas" not in w._cache:
-        conj = w.refl_conj_table
-        n_refl = w.num_reflections
-        w._cache["move_deltas"] = [
-            (b - a) * n_refl + conj[a][b] - b
-            for a in range(n_refl)
-            for b in range(n_refl)
-        ]
-    return w._cache["move_deltas"]
+    conj = w.refl_conj_table
+    n_refl = w.num_reflections
+    return [
+        (b - a) * n_refl + conj[a][b] - b
+        for a in range(n_refl)
+        for b in range(n_refl)
+    ]
 
 
 def _lr_shape(
@@ -243,13 +242,13 @@ def _walk_orbit(
     :func:`_orbit_blocks`, with the same verdicts and charges, was slower on
     the ``classify`` benchmark (6 interleaved pairs, seeds 1-6, 8 s each,
     on a 2-core VM, Python 3.11: ``item_p50_ms`` 0.121 -> 0.165 and
-    ``items_per_s`` 4503 -> 3766).  It is written out rather than run on ``groups.breadth_first``: that
-    primitive calls ``expand`` on each layer and rebuilds the layer as a
-    list of the states not seen, while here the seen test, the layer list
-    and the shape test share one pass over the moves (on the primitive, with
-    tuple states, the ``orbits`` benchmark ran 4 % slower end to end and 8 %
-    slower at the 90th-percentile item, when partitions still walked their
-    orbits).
+    ``items_per_s`` 4503 -> 3766).  It is written out rather than run on
+    ``groups.breadth_first``: that primitive calls ``expand`` on each layer
+    and rebuilds the layer as a list of the states not seen, while here the
+    seen test, the layer list and the shape test share one pass over the
+    moves (on the primitive, with tuple states, the ``orbits`` benchmark ran
+    4 % slower end to end and 8 % slower at the 90th-percentile item, when
+    partitions still walked their orbits).
     """
     delta = _move_deltas(w)
     n_refl = w.num_reflections
@@ -372,10 +371,11 @@ class _Blocks(NamedTuple):
     index: list[list[int]]
 
 
+@per_group
 def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     """The Hurwitz orbits on the factorizations with ``n >= 0`` factors of
-    the element with id ``e``, from those one and two levels down (cached
-    per group); none when ``n < l(e)`` or ``n - l(e)`` is odd.
+    the element with id ``e``, from those one and two levels down; none
+    when ``n < l(e)`` or ``n - l(e)`` is odd.
 
     The blocks ``{t} x O``, ``O`` an orbit of ``X_{n-1}(t e)``, are the
     orbits of ``sigma_2 .. sigma_{n-1}``.  For each ``t1``, ``t2`` and orbit
@@ -389,15 +389,11 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     This is a table build, so it charges no budget.  Its memo keeps a few
     integers per orbit of each ``(e, n)`` reached, never a factorization.
     """
-    memo = w._cache.setdefault("orbit_blocks", {})
-    if (e, n) in memo:
-        return memo[e, n]
     lengths = length_table(w)
     if n < lengths[e] or (n - lengths[e]) % 2:
         return _Blocks([], [], [], [])
     if n == 0:  # the empty factorization of the identity
-        memo[e, n] = _Blocks([0], [1], [0], [])
-        return memo[e, n]
+        return _Blocks([0], [1], [0], [])
     mult = w.refl_mult_table
     conj = w.refl_conj_table
     n_refl = w.num_reflections
@@ -448,8 +444,7 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
                     o = index[t][j]
                     if shaped[o] is None or doubled + y < shaped[o]:
                         shaped[o] = doubled + y
-    memo[e, n] = _Blocks(least, sizes, shaped, index)
-    return memo[e, n]
+    return _Blocks(least, sizes, shaped, index)
 
 
 def partition_into_orbits(
@@ -494,14 +489,8 @@ def partition_into_orbits(
         witness = None if shaped is None else decode(shaped, n, n_refl)
         if any(_product_id(w, f) != e for f in (rep, witness) if f is not None):
             raise BadFactorization("an orbit lies outside its ground set")
-        orbits.append(
-            HurwitzOrbit(
-                representative=Factorization(w, rep),
-                size=size,
-                invariant=orbit_invariant(w, rep),
-                lr_witness=witness,
-            )
-        )
+        invariant = orbit_invariant(w, rep)
+        orbits.append(HurwitzOrbit(Factorization(w, rep), size, invariant, witness))
     return orbits
 
 

@@ -1,5 +1,6 @@
 """Campaign runner and command line: record shapes, determinism, budgets,
 golden comparison, and exit codes."""
+import ast
 import json
 import pathlib
 import subprocess
@@ -8,9 +9,11 @@ import time
 
 import pytest
 
+import coxorbits
 from coxorbits import absorder
 from coxorbits.budget import Budget
 from coxorbits.campaigns import (
+    _CAMPAIGNS,
     CampaignConfig,
     Report,
     _coprime_splits,
@@ -22,6 +25,7 @@ from coxorbits.campaigns import (
 )
 from coxorbits.cli import _env_budget, main
 from coxorbits.errors import CapExceeded, TypeMismatch
+from coxorbits.groups import build_group
 
 from conftest import cached_group
 
@@ -258,6 +262,58 @@ def test_coprime_splits():
         (3, 7, 10),
         (5, 6, 7),
     ]
+
+
+def per_group_functions() -> set[str]:
+    """The package's functions decorated with ``groups.per_group``."""
+    names = set()
+    for path in pathlib.Path(coxorbits.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "per_group"
+                for d in node.decorator_list
+            ):
+                names.add(node.name)
+    return names
+
+
+MEMO_CAMPAIGNS = ("pqc-characterization", "conjecture", "min-full-transitivity")
+
+
+def item_records(w, max_tuples) -> dict[str, list]:
+    """Each memo-heavy campaign's items, built through ``_CAMPAIGNS`` and run
+    on ``w``: the key, then the verdict, payload and charges, or the cap
+    that skipped the item."""
+    out = {}
+    for campaign in MEMO_CAMPAIGNS:
+        cfg = CampaignConfig(w.name, campaign, max_tuples=max_tuples)
+        out[campaign] = records = []
+        for key, work in _CAMPAIGNS[campaign](w, cfg):
+            budget = cfg.item_budget()
+            try:
+                records.append((key, work(budget), budget and budget.spent))
+            except CapExceeded as e:
+                records.append((key, "skip", e.cap))
+    return out
+
+
+@pytest.mark.parametrize("label", ["B3", "H3"])
+def test_records_do_not_depend_on_memo_state(label):
+    """Cold, warm and cleared memos give the same records, capped or not:
+    verdicts, payloads and charges never read what the memos hold."""
+    cap = 2000
+    fresh = {m: item_records(build_group(label), m) for m in (None, cap)}
+    for campaign in MEMO_CAMPAIGNS:
+        skipped = [r for r in fresh[cap][campaign] if r[1] == "skip"]
+        assert 0 < len(skipped) < len(fresh[cap][campaign])
+        assert all(r[1] != "skip" for r in fresh[None][campaign])
+    w = build_group(label)
+    for m in (None, cap, None):  # each run after the other has warmed w
+        assert item_records(w, m) == fresh[m]
+    for m in (cap, None):
+        w.memos.clear()
+        assert item_records(w, m) == fresh[m]
+    assert set(w.memos) == per_group_functions()
 
 
 def test_min_min_expected_prediction():

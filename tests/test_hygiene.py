@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used there, and
-every private module-level helper is referenced somewhere in the package.
+"""Source hygiene: every name a package module imports is used there,
+every private module-level helper is referenced somewhere in the package,
+and per-group state goes through ``groups.per_group``.
 
 Each module under ``src/coxorbits`` is parsed with ``ast``; an imported
 name counts as used when it occurs as a name anywhere in the module
@@ -7,7 +8,9 @@ name counts as used when it occurs as a name anywhere in the module
 ``__init__`` re-exports.  ``from __future__`` imports are exempt.  A
 function or class named ``_x`` at module level counts as live when any
 module names it outside its own definition, so a helper that a refactor
-leaves dead fails the gate.
+leaves dead fails the gate.  Only ``groups.py`` touches the memo store
+``memos``, and no module names ``_cache``, so a new per-group memo is a
+decorated function rather than a hand-kept dict.
 """
 import ast
 import pathlib
@@ -91,3 +94,37 @@ def test_unreferenced_private_helpers_are_found():
 def test_no_unreferenced_private_helpers():
     trees = [ast.parse(path.read_text()) for path in MODULES]
     assert unreferenced_private(trees) == []
+
+
+def memo_store_uses(trees: dict[str, ast.Module]) -> list[str]:
+    """Names or attributes ``memos`` outside ``groups.py``, and ``_cache``
+    anywhere, as ``file:line name``."""
+    found = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            else:
+                continue
+            if name == "_cache" or (name == "memos" and filename != "groups.py"):
+                found.append((filename, node.lineno, name))
+    return [f"{filename}:{line} {name}" for filename, line, name in sorted(found)]
+
+
+def test_memo_store_uses_are_found():
+    trees = {
+        "groups.py": ast.parse("memo = w.memos[name]\n"),
+        "absorder.py": ast.parse(
+            "memos = {}\nw.memos.clear()\nw._cache['k'] = lru_cache\n"
+        ),
+    }
+    assert memo_store_uses(trees) == [
+        "absorder.py:1 memos", "absorder.py:2 memos", "absorder.py:3 _cache",
+    ]
+
+
+def test_per_group_state_goes_through_the_decorator():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    assert memo_store_uses(trees) == []
