@@ -43,6 +43,7 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
         runs.append((label, "pqc-characterization", {}))
     if heavy:
         runs.append(("F4", "carter", {}))
+        runs.append(("H4", "carter", {}))
         runs.append(("D5", "carter", {}))
         runs.append(("D5", "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
@@ -81,7 +82,7 @@ def main() -> int:
         action="store_true",
         help="include the slow sweeps: F4 carter, conjecture, lr-normal-form, "
         "pqc-characterization, min-full-transitivity and min-equals-min, "
-        "and D5 carter and pqc-characterization",
+        "H4 carter, and D5 carter and pqc-characterization",
     )
     args = ap.parse_args()
 

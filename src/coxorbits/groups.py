@@ -23,7 +23,8 @@ Closures that need only the states they reach run on one layered search,
 reflection subsets and element ids.  Closures on element components number
 their members, so they are written out (``_closure_comps``); one such pass
 yields the elements and the simple rows of ``refl_mult_table``, after which
-subgroup closures run on element ids (see :meth:`CoxeterGroup.closure`).
+subgroup closures run on element ids, coset by coset, and a subgroup holds
+its members' ids (see :meth:`CoxeterGroup.closure`).
 
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import accumulate, chain, zip_longest
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import roots
 from .errors import (
@@ -501,6 +502,16 @@ class GroupElement:
         return f"<{self.group.name}: {self.serialize()}>"
 
 
+class _Numbering(NamedTuple):
+    """A group's elements numbered in canonical (serialization) order."""
+
+    elements: tuple[GroupElement, ...]
+    ids: dict[tuple[Comp, ...], int]
+    serials: list[str]  # each element's serialization, by id
+    reflections: tuple[int, ...]  # each reflection's element id
+    simple_rows: list[list[int]]  # refl_mult_table's, in simple_reflection_ids order
+
+
 class CoxeterGroup:
     """A finite Coxeter group built from a classification label."""
 
@@ -656,10 +667,9 @@ class CoxeterGroup:
     # -- materialization ---------------------------------------------------
 
     @cached_property
-    def _whole_group(self) -> tuple[tuple[GroupElement, ...], dict, list[list[int]]]:
-        """The elements in canonical (serialization) order, their ids, and
-        the simple reflections' rows of :attr:`refl_mult_table`, in
-        ``simple_reflection_ids`` order: one closure pass, renumbered."""
+    def _whole_group(self) -> _Numbering:
+        """The elements numbered in canonical (serialization) order: one
+        closure pass, renumbered."""
         for ir in self.datum.factors:
             if ir.family == "E" and ir.rank >= 7:
                 raise UnsupportedType(
@@ -677,14 +687,30 @@ class CoxeterGroup:
         for row in rows:  # in place, so one row's copy is alive at a time
             row[:] = [canon[row[x]] for x in order]
         ids = {members[x]: canon[x] for x in order}  # ints shared with the rows
-        return tuple(GroupElement(self, members[x]) for x in order), ids, rows
+        return _Numbering(
+            tuple(GroupElement(self, members[x]) for x in order),
+            ids,
+            [keys[x] for x in order],
+            tuple(ids[self.reflection(t).comps] for t in self.reflection_ids()),
+            rows,
+        )
+
+    @cached_property
+    def _numbered(self) -> bool:
+        """Whether the group numbers its elements: all but E7, E8 and
+        groups past the cap, whose whole group is refused."""
+        try:
+            self._whole_group
+        except (UnsupportedType, CapExceeded):
+            return False
+        return True
 
     def elements(self) -> tuple[GroupElement, ...]:
         """All elements, in canonical (serialization) order."""
-        return self._whole_group[0]
+        return self._whole_group.elements
 
     def element_ids(self) -> dict[tuple[Comp, ...], int]:
-        return self._whole_group[1]
+        return self._whole_group.ids
 
     @cached_property
     def refl_mult_table(self) -> list[list[int]]:
@@ -696,7 +722,7 @@ class CoxeterGroup:
         so ``table[v][e] = table[s][table[u][table[s][e]]]``; it reaches them
         all, as each is conjugate to a simple one inside its own factor."""
         simple = self.simple_reflection_ids
-        rows = dict(zip(simple, self._whole_group[2]))
+        rows = dict(zip(simple, self._whole_group.simple_rows))
         conj = self.refl_conj_table
         for layer in breadth_first(set(), list(simple), lambda layer: (
             conj[u][s] for u in layer for s in simple
@@ -735,38 +761,46 @@ class CoxeterGroup:
     # -- subgroups ---------------------------------------------------------
 
     def closure(self, gens: Iterable[GroupElement]) -> Subgroup:
-        """The subgroup generated by ``gens``.
+        """The subgroup generated by ``gens``, held as the element ids of its
+        members (see :class:`Subgroup`).
 
         Once ``refl_mult_table`` is built the closure runs on element ids
-        (:meth:`_closure_ids`), and its members are the cached
-        :meth:`elements`.  Otherwise it multiplies element components
-        (:meth:`_closure_comps`), which builds no table: E7/E8 closures run
-        there, and a one-off closure on a big group does not pay for one;
-        only it can raise :class:`CapExceeded`.  Both routes give the same
-        :class:`Subgroup`."""
+        (:meth:`_closure_ids`) and makes no :class:`GroupElement`.
+        Otherwise it multiplies element components (:meth:`_closure_comps`),
+        which builds no table: E7/E8 closures run there, and a one-off
+        closure on a big group does not pay for one; only it can raise
+        :class:`CapExceeded`.  On a group that numbers its elements (all
+        but E7, E8 and groups past the cap) its members become ids at its
+        edge, numbering the elements first if need be.  Both routes give
+        the same :class:`Subgroup`."""
         gens = tuple(gens)
         for g in gens:
             if g.group is not self:
                 raise GroupMismatch("generator belongs to a different group")
         if "refl_mult_table" in self.__dict__:
-            elems = self.elements()
-            members = frozenset(elems[x] for x in self._closure_ids(gens))
+            members = frozenset(self._closure_ids(gens))
         else:
             comps, _ = self._closure_comps([g.comps for g in gens])
-            members = frozenset(GroupElement(self, c) for c in comps)
+            if self._numbered:
+                comps = map(self.element_ids().__getitem__, comps)
+            members = frozenset(comps)
         return Subgroup(self, gens, members)
 
     def _closure_ids(self, gens: tuple[GroupElement, ...]) -> set[int]:
-        """Element ids of the subgroup ``gens`` generate, grown from the
-        identity id by the first step of Dimino's algorithm (Butler,
-        *Fundamental Algorithms for Permutation Groups*, 1991): a generator
-        already in the subgroup is skipped, and each kept one acts by its
-        row of left products, ``refl_mult_table[t]`` for a reflection."""
+        """Element ids of the subgroup ``gens`` generate, by Dimino's
+        algorithm (Butler, *Fundamental Algorithms for Permutation Groups*,
+        1991, ch. 6): a generator already in the subgroup ``H`` so far is
+        skipped, and a kept one grows ``H`` by whole left cosets.  Each
+        generator acts by its row of left products, ``refl_mult_table[t]``
+        for a reflection, and ``s`` maps the coset ``y H`` onto ``(s y) H``
+        member by member, so a new coset is one row lookup per member and
+        only coset representatives are tested."""
         ids = self.element_ids()
         table = self.refl_mult_table
         one = ids[self.identity.comps]
         refl_rows = {row[one]: row for row in table}
         seen = {one}
+        members = [one]
         rows: list[list[int]] = []
         for g in gens:
             x = ids[g.comps]
@@ -779,13 +813,16 @@ class CoxeterGroup:
                     for h in self.elements()
                 ]
             rows.append(row)
-            # the subgroup so far is closed under the earlier rows, so the
-            # new elements start at its images under the new one
-            start = list({row[y] for y in seen} - seen)
-            for _ in breadth_first(seen, start, lambda layer: (
-                r[y] for r in rows for y in layer
-            )):
-                pass
+            # each coset lists its representative first; seen is a union of
+            # whole cosets, so testing the representative's image suffices
+            cosets = [members]
+            for coset in cosets:  # cosets grows behind the loop
+                for r in rows:
+                    if r[coset[0]] not in seen:
+                        new = list(map(r.__getitem__, coset))
+                        seen.update(new)
+                        cosets.append(new)
+            members = list(chain.from_iterable(cosets))
         return seen
 
     def _closure_comps(
@@ -819,58 +856,79 @@ class CoxeterGroup:
         """
         return len(self.reflection_closure(refl_ids)) == self.num_reflections
 
-    def subgroup_key(self, elements: Iterable[GroupElement]) -> str:
-        """Content-addressed key: SHA-256 over sorted element serializations."""
-        payload = "|".join(sorted(g.serialize() for g in elements))
-        return hashlib.sha256(payload.encode()).hexdigest()
-
     def __repr__(self) -> str:
         return f"CoxeterGroup({self.name!r})"
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup given by its generators and full element set.
+    """A subgroup given by its generators and its member set.
 
-    Identity is by element set: two subgroups with the same elements are equal
-    regardless of how they were generated.
+    ``members`` holds the members' element ids (:meth:`CoxeterGroup.element_ids`)
+    on a group that numbers its elements, and their components on E7, E8
+    and groups past the cap, which do not; so ``order``, ``==``, ``in`` and
+    :attr:`reflection_ids` build no :class:`GroupElement`.  Identity is by
+    member set: two subgroups with the same members are equal regardless of
+    how they were generated.  :attr:`elements` builds the members, for
+    callers that iterate them.
     """
 
     group: CoxeterGroup
     generators: tuple[GroupElement, ...]
-    elements: frozenset[GroupElement] = field(repr=False)
+    members: frozenset[int] | frozenset[tuple[Comp, ...]] = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
+        w = self.group
+        if g.group is not w:
+            return False
+        return (w.element_ids()[g.comps] if w._numbered else g.comps) in self.members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group is other.group and self.elements == other.elements
+        return self.group is other.group and self.members == other.members
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.elements))
+        return hash((id(self.group), self.members))
 
     @property
     def is_whole_group(self) -> bool:
         return self.order == self.group.census_order
 
     @cached_property
+    def elements(self) -> frozenset[GroupElement]:
+        """The members as elements, the cached ones of a numbered group."""
+        w = self.group
+        if w._numbered:
+            elems = w.elements()
+            return frozenset(elems[x] for x in self.members)
+        return frozenset(GroupElement(w, c) for c in self.members)
+
+    @cached_property
     def canonical_key(self) -> str:
-        return self.group.subgroup_key(self.elements)
+        """Content-addressed key: SHA-256 over the members' sorted
+        serializations, which id order gives on a numbered group."""
+        w = self.group
+        if w._numbered:
+            serials = w._whole_group.serials
+            texts = [serials[x] for x in sorted(self.members)]
+        else:
+            texts = sorted(map(w.serialize_comps, self.members))
+        return hashlib.sha256("|".join(texts).encode()).hexdigest()
 
     @cached_property
     def reflection_ids(self) -> tuple[int, ...]:
         """Global ids of the reflections lying in this subgroup."""
-        return tuple(
-            t
-            for t in self.group.reflection_ids()
-            if self.group.reflection(t) in self.elements
-        )
+        w = self.group
+        if w._numbered:
+            keys = w._whole_group.reflections
+        else:
+            keys = tuple(w.reflection(t).comps for t in w.reflection_ids())
+        return tuple(t for t, x in enumerate(keys) if x in self.members)
 
 
 def build_group(spec: str, cap: int = DEFAULT_MAX_ELEMENTS) -> CoxeterGroup:

@@ -371,6 +371,10 @@ class _Blocks(NamedTuple):
     index: list[list[int]]
 
 
+#: The blocks of an empty ground set, shared by every ``(e, n)`` that has one.
+_NO_BLOCKS = _Blocks((), (), (), ())
+
+
 @per_group
 def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     """The Hurwitz orbits on the factorizations with ``n >= 0`` factors of
@@ -386,19 +390,26 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     excess ``n - l(e)`` every member has left normal shape; otherwise the
     shaped members are ``(t, t, y)`` with ``y`` shaped in ``X_{n-2}(e)``.
 
+    A child ``X_{n-1}(t e)`` is empty exactly when ``l(t e) > n - 1``, as
+    its parity always matches; it is not asked for, so the memo holds no
+    empty entry below the ones asked for from outside.
+
     This is a table build, so it charges no budget.  Its memo keeps a few
     integers per orbit of each ``(e, n)`` reached, never a factorization.
     """
     lengths = length_table(w)
     if n < lengths[e] or (n - lengths[e]) % 2:
-        return _Blocks([], [], [], [])
+        return _NO_BLOCKS
     if n == 0:  # the empty factorization of the identity
         return _Blocks([0], [1], [0], [])
     mult = w.refl_mult_table
     conj = w.refl_conj_table
     n_refl = w.num_reflections
     scale = n_refl ** (n - 1)
-    children = [_orbit_blocks(w, mult[t][e], n - 1) for t in range(n_refl)]
+    children = [
+        _NO_BLOCKS if lengths[x] > n - 1 else _orbit_blocks(w, x, n - 1)
+        for x in (row[e] for row in mult)
+    ]
     offset = list(accumulate((len(c.sizes) for c in children), initial=0))
     parent = list(range(offset[-1]))
 

@@ -72,6 +72,25 @@ def conjugacy_class(h) -> frozenset:
     return frozenset(found)
 
 
+def element_closure(w, gens) -> frozenset:
+    """Oracle for the subgroup of ``w`` that ``gens`` generate: the closure
+    of the identity under left multiplication by the generators, by element
+    multiplication.  It reads neither element ids nor ``refl_mult_table``,
+    nor the package's ``breadth_first``, so its loop is written out here."""
+    found = {w.identity}
+    frontier = [w.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(found)
+
+
 def scalar_reflection(form: Matrix, alpha: tuple) -> Callable[[tuple], tuple]:
     """The reflection ``v -> v - <v, alpha^vee> alpha`` of ``Scalar``
     coordinate vectors, with ``alpha^vee = 2 F alpha / (alpha, F alpha)``

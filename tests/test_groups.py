@@ -1,6 +1,7 @@
 """Group construction: labels, censuses, root systems, element arithmetic,
 closures and conjugacy.  Matrix action and permutation action are compared
 against each other as independent routes."""
+import hashlib
 import itertools
 import random
 
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from conftest import (
     cached_group,
     conjugacy_class,
+    element_closure,
     fixed_space_codim,
     geometric_reflection_perm,
     scalar_reflection,
     scalar_root_system,
 )
 from coxorbits import build_group
-from coxorbits.absorder import parabolic_closure
+from coxorbits.absorder import parabolic_closure, reflections_fixing
 from coxorbits.errors import (
     CapExceeded,
     GroupMismatch,
@@ -25,7 +27,7 @@ from coxorbits.errors import (
     ParseError,
     UnsupportedType,
 )
-from coxorbits.groups import CoxeterGroup, VectorFactor, breadth_first
+from coxorbits.groups import CoxeterGroup, GroupElement, VectorFactor, breadth_first
 from coxorbits.linalg import Matrix, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
 from coxorbits.scalars import PHI, Scalar
@@ -457,6 +459,58 @@ def test_closure_routes_agree_on_non_reflections():
     _assert_closure_routes_agree(w, gen_sets)
 
 
+@pytest.mark.parametrize("label", ["B3", "H3", "D4", "A2xI2(5)"])
+def test_id_closures_match_element_closure_oracle(label):
+    """The parabolic closure of every element, on the table route, against
+    the element-multiplication closure: order, reflections, key (SHA-256 of
+    the sorted serializations) and membership of every element."""
+    w = cached_group(label)
+    w.refl_mult_table
+    elems = w.elements()
+    oracles: dict[tuple[int, ...], frozenset] = {}
+    for g in elems:
+        fixing = reflections_fixing(g)
+        sub = parabolic_closure(g)
+        if fixing not in oracles:
+            oracles[fixing] = element_closure(w, [w.reflection(t) for t in fixing])
+        oracle = oracles[fixing]
+        payload = "|".join(sorted(x.serialize() for x in oracle))
+        assert sub.order == len(oracle), (label, g)
+        assert sub.reflection_ids == tuple(
+            t for t in w.reflection_ids() if w.reflection(t) in oracle
+        ), (label, g)
+        assert sub.canonical_key == hashlib.sha256(payload.encode()).hexdigest()
+        assert [x in sub for x in elems] == [x in oracle for x in elems], (label, g)
+
+
+@pytest.mark.parametrize("label", ["B3", "H3"])
+def test_id_closures_build_no_group_element(label, monkeypatch):
+    """Once the tables exist, a closure and its ``order``, ``==``, ``hash``,
+    ``in`` and ``reflection_ids`` make no :class:`GroupElement`."""
+    w = build_group(label)
+    w.refl_mult_table
+    elems = w.elements()
+    fixing = [reflections_fixing(g) for g in elems[::3]]
+    gen_sets = [[w.reflection(t) for t in ids] for ids in fixing]
+    made = []
+    init = GroupElement.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    for ids, gens in zip(fixing, gen_sets):
+        sub = w.closure(gens)
+        again = w.closure(gens[::-1])
+        assert sub == again and hash(sub) == hash(again)
+        assert sub.order == sum(x in sub for x in elems)
+        assert sub.reflection_ids == tuple(sorted(w.reflection_closure(ids)))
+    assert made == []
+    w.reflection(0)  # the counter sees the elements that are made
+    assert made == [1]
+
+
 def test_e7_closures_build_no_table():
     w = build_group("E7")
     s = [w.reflection(t) for t in w.simple_reflection_ids]
@@ -468,6 +522,13 @@ def test_e7_closures_build_no_table():
     # the E7 diagram is a tree: 6 of its 21 pairs are joined
     assert sorted(pair_orders) == [2] * 15 + [3] * 6
     assert parabolic_closure(s[0] * s[1]).order == 2 * (s[0] * s[1]).order()
+    # E7 numbers no elements, so a subgroup holds its members' components
+    sub = w.closure(s[:3])
+    simple = w.simple_reflection_ids[:3]
+    assert sub.reflection_ids == tuple(sorted(w.reflection_closure(simple)))
+    assert s[0] * s[2] in sub and s[3] not in sub
+    payload = "|".join(sorted(x.serialize() for x in sub.elements))
+    assert sub.canonical_key == hashlib.sha256(payload.encode()).hexdigest()
     assert "refl_mult_table" not in w.__dict__
     assert "_whole_group" not in w.__dict__
 

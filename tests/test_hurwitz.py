@@ -18,6 +18,7 @@ from coxorbits.absorder import (
     reflection_length,
 )
 from coxorbits.budget import Budget
+from coxorbits.campaigns import _CAMPAIGNS, CampaignConfig
 from coxorbits.errors import (
     BadFactorization,
     CapExceeded,
@@ -442,6 +443,19 @@ def test_partition_rejects_an_orbit_that_does_not_multiply_to_g(monkeypatch, fie
     monkeypatch.setattr(hurwitz, "_orbit_blocks", foreign_blocks)
     with pytest.raises(BadFactorization):
         partition_into_orbits(c, 4)
+
+
+def test_orbit_blocks_memo_holds_no_empty_entry():
+    """A child ``X_{n-1}(t e)`` with no factorizations is skipped, not
+    memoized: after B3 ``conjecture`` every stored entry has an orbit, and
+    an empty ground set gets the one shared empty value."""
+    w = build_group("B3")
+    for _, work in _CAMPAIGNS["conjecture"](w, CampaignConfig("B3", "conjecture")):
+        work(None)
+    memo = w.memos["_orbit_blocks"]
+    assert memo and all(blocks.sizes for blocks in memo.values())
+    c = w.element_ids()[coxeter_element(w).comps]
+    assert hurwitz._orbit_blocks(w, c, 2) is hurwitz._orbit_blocks(w, c, 4)
 
 
 @pytest.mark.parametrize(
