@@ -44,6 +44,7 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
     if heavy:
         runs.append(("F4", "carter", {}))
         runs.append(("H4", "carter", {}))
+        runs.append(("E6", "carter", {}))
         runs.append(("D5", "carter", {}))
         runs.append(("D5", "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
@@ -82,7 +83,7 @@ def main() -> int:
         action="store_true",
         help="include the slow sweeps: F4 carter, conjecture, lr-normal-form, "
         "pqc-characterization, min-full-transitivity and min-equals-min, "
-        "H4 carter, and D5 carter and pqc-characterization",
+        "H4 and E6 carter, and D5 carter and pqc-characterization",
     )
     args = ap.parse_args()
 

@@ -4,11 +4,13 @@ Reflection length is the Cayley distance over T.  :func:`length_table`
 finds it for the whole group, breadth first along ``refl_mult_table`` rows;
 :func:`reflection_length` computes one element's as the codimension of its
 fixed space (Carter, 1972), and the ``carter`` campaign checks that they
-agree.  Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The
-geometry runs on the factors' span routine (see :mod:`~coxorbits.groups`),
-without branching on the factor kind, and on integers, never on ``Scalar``
-values: a vector factor's roots are integer lattice vectors and its span is
-a fraction-free echelon.
+agree.  :func:`fixed_space` reads that codimension and the reflections
+fixing the fixed space from one moved-space basis per factor.  Absolute
+order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The geometry runs on
+the factors' span routine (see :mod:`~coxorbits.groups`), without branching
+on the factor kind, and on integers, never on ``Scalar`` values: a vector
+factor's roots are integer lattice vectors and its span is a fraction-free
+echelon.
 
 Whole-group queries read only the integer tables, through element ids:
 ``length_table`` and ``refl_mult_table``.  They decide "the reflection
@@ -40,7 +42,8 @@ memoized per group with its closure steps (:func:`_full_search`).
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
-hyperplane contains that fixed space.  An element is quasi-Coxeter when some
+hyperplane contains that fixed space, closed once per reflection set
+(``groups.reflection_subgroup``).  An element is quasi-Coxeter when some
 reduced reflection factorization of it generates the whole group, and
 parabolic quasi-Coxeter when some reduced factorization generates a parabolic
 subgroup; that subgroup is then necessarily the parabolic closure, since a
@@ -55,14 +58,19 @@ from typing import Callable, Iterator, NamedTuple
 
 from .budget import Budget
 from .errors import BadFactorization, GroupMismatch
-from .groups import CoxeterGroup, GroupElement, Subgroup, breadth_first, per_group
+from .groups import (
+    CoxeterGroup,
+    GroupElement,
+    Subgroup,
+    breadth_first,
+    per_group,
+    reflection_subgroup,
+)
 
 
 def reflection_length(g: GroupElement) -> int:
     """Codimension of the fixed space of ``g`` (factor by factor, exact)."""
-    return sum(
-        f.fixed_codim_comp(c) for f, c in zip(g.group.factors, g.comps)
-    )
+    return sum(map(len, _moved_bases(g.group, [g.comps])))
 
 
 @per_group
@@ -93,25 +101,50 @@ def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
     return reflection_length(u) + reflection_length(u.inverse() * v) == reflection_length(v)
 
 
-def _fixing_reflections(w: CoxeterGroup, comps_list: list[tuple]) -> list[int]:
+def _moved_bases(w: CoxeterGroup, comps_list: list[tuple]) -> list[tuple]:
+    """For each factor, a basis of the sum of the given elements' moved
+    spaces ``Im(g_k - 1)``, which is ``(cap Fix g_k)^perp``: its size is the
+    codimension of the common fixed space in that factor."""
+    return [
+        f.span(v for c in comps_list for v in f.moved_vectors(c[fi]))
+        for fi, f in enumerate(w.factors)
+    ]
+
+
+def _fixing_reflections(w: CoxeterGroup, bases: list[tuple]) -> tuple[int, ...]:
     """Global ids of all reflections fixing (pointwise) the common fixed
-    space of the given elements: those whose root lies in the sum of the
-    moved spaces, since ``(cap Fix g_k)^perp = sum Im(g_k - 1)``."""
+    space whose moved spaces are ``bases`` (:func:`_moved_bases`): those
+    whose root lies in the moved space.  Where a factor's moved space is
+    the whole factor, its fixed space is 0 and every reflection of it
+    qualifies untested."""
     out: list[int] = []
-    for fi, f in enumerate(w.factors):
-        basis = f.span(v for c in comps_list for v in f.moved_vectors(c[fi]))
+    for fi, (f, basis) in enumerate(zip(w.factors, bases)):
+        full = len(basis) == f.rank
         out.extend(
             w.global_reflection_id(fi, t)
             for t in range(f.num_reflections)
-            if f.in_span(basis, f.root_vector(t))
+            if full or f.in_span(basis, f.root_vector(t))
         )
-    return out
+    return tuple(out)
+
+
+def fixed_space(g: GroupElement) -> tuple[int, tuple[int, ...]]:
+    """The codimension of the fixed space of ``g`` and the reflections
+    whose hyperplane contains it, from one pass over its moved spaces: its
+    :func:`reflection_length` and its :func:`reflections_fixing`.
+
+    >>> w = CoxeterGroup("B2")  # a rotation fixes only 0
+    >>> fixed_space(w.reflection(0) * w.reflection(1))
+    (2, (0, 1, 2, 3))
+    """
+    bases = _moved_bases(g.group, [g.comps])
+    return sum(map(len, bases)), _fixing_reflections(g.group, bases)
 
 
 def reflections_fixing(g: GroupElement) -> tuple[int, ...]:
     """Reflections whose hyperplane contains the fixed space of ``g``,
     decided by linear algebra on the fixed spaces alone."""
-    return tuple(_fixing_reflections(g.group, [g.comps]))
+    return fixed_space(g)[1]
 
 
 def parabolic_closure(g: GroupElement) -> Subgroup:
@@ -122,8 +155,7 @@ def parabolic_closure(g: GroupElement) -> Subgroup:
     >>> parabolic_closure(w.reflection(0) * w.reflection(2)).is_whole_group
     True
     """
-    w = g.group
-    return w.closure([w.reflection(t) for t in reflections_fixing(g)])
+    return reflection_subgroup(g.group, frozenset(reflections_fixing(g)))
 
 
 def is_parabolic(sub: Subgroup) -> bool:
@@ -135,10 +167,8 @@ def is_parabolic(sub: Subgroup) -> bool:
     [True, False]
     """
     w = sub.group
-    gen_comps = [g.comps for g in sub.generators]
-    ids = _fixing_reflections(w, gen_comps)
-    stab = w.closure([w.reflection(t) for t in ids])
-    return stab == sub
+    bases = _moved_bases(w, [g.comps for g in sub.generators])
+    return reflection_subgroup(w, frozenset(_fixing_reflections(w, bases))) == sub
 
 
 def _lowering_reflections(w: CoxeterGroup, e: int) -> list[int]:

@@ -21,7 +21,13 @@ from typing import Callable
 from . import absorder, gensets, hurwitz
 from .budget import Budget
 from .errors import CapExceeded
-from .groups import CoxeterGroup, DihedralFactor, GroupElement, build_group
+from .groups import (
+    CoxeterGroup,
+    DihedralFactor,
+    GroupElement,
+    build_group,
+    reflection_subgroup,
+)
 
 FORMAT_VERSION = 1
 
@@ -157,12 +163,12 @@ def _items_carter(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
 
     def check(g, budget):
         _charge(budget, "max_states", n_refl)
-        length = absorder.reflection_length(g)
+        length, fixing = absorder.fixed_space(g)
         e = ids[g.comps]
         below_by_length = set(absorder._lowering_reflections(w, e))
-        fixing = absorder.reflections_fixing(g)
-        # the parabolic closure, closed here on the reflections just found
-        closure = w.closure([w.reflection(t) for t in fixing])
+        # the parabolic closure, keyed by the reflections just found by
+        # geometry, never by the table route it is compared with
+        closure = reflection_subgroup(w, frozenset(fixing))
         ok = (
             length == lengths[e]
             and below_by_length == set(fixing) == set(closure.reflection_ids)

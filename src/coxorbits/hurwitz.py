@@ -61,7 +61,7 @@ from .absorder import (
 )
 from .budget import Budget
 from .errors import BadFactorization, IndexOutOfRange, ShapeNotFound
-from .groups import CoxeterGroup, GroupElement, per_group
+from .groups import CoxeterGroup, GroupElement, per_group, reflection_subgroup
 
 
 @dataclass(frozen=True)
@@ -161,19 +161,15 @@ def _support_data(
     ``refls``, and the class label within it of each of them.  A reflection
     subgroup is fixed by its reflection set (Dyer, *Reflection subgroups of
     Coxeter systems*, 1990), so supports that generate the same subgroup
-    share one entry.  It is generated by the members of ``refls`` that the
-    earlier ones do not reach: without an element table (E7, E8) a closure
-    multiplies every element by every generator.  Each class is closed once."""
-    gens: list[int] = []
-    for t in sorted(refls):
-        if t not in w.reflection_closure(gens):
-            gens.append(t)
-    sub = w.closure([w.reflection(t) for t in gens])
+    share one entry, and one :func:`~coxorbits.groups.reflection_subgroup`.
+    A class is the closure of a member under conjugation by ``refls``, which
+    generate the subgroup; each class is closed once."""
+    sub = reflection_subgroup(w, refls)
     serial = w.reflection_serializations
     labels: dict[int, str] = {}
     for t in sorted(refls):
         if t not in labels:
-            members = w.reflection_closure([t], gens)
+            members = w.reflection_closure([t], refls)
             labels.update(dict.fromkeys(members, min(serial[x] for x in members)))
     return sub.canonical_key, sub.order, labels
 

@@ -159,16 +159,33 @@ def test_reflections_below_equal_parabolic_closure():
     for label in ["A3", "B3", "H3", "D4", "B2xA1"]:
         w = cached_group(label)
         ids = w.element_ids()
+        refls = [(t, w.reflection(t)) for t in w.reflection_ids()]
+        matrices = [r.matrix() for _, r in refls]  # once per group
         for g in w.elements():
             closure = parabolic_closure(g)
             gm = g.matrix()
             lowering = set(absorder._lowering_reflections(w, ids[g.comps]))
-            for t in w.reflection_ids():
-                r = w.reflection(t)
+            for (t, r), rm in zip(refls, matrices):
                 below = absolute_leq(r, g)
-                contains = kernel_contains(r.matrix(), gm)
+                contains = kernel_contains(rm, gm)
                 member = r in closure
                 assert below == contains == member == (t in lowering)
+
+
+@pytest.mark.parametrize("label", ["I2(5)xA2", "B2xI2(6)", "I2(8)"])
+def test_fixed_space_on_dihedral_factors(label):
+    """Codimension and fixing reflections from one geometric pass against
+    the length table and the length-drop rule, on groups with a dihedral
+    factor, whose rotations move the whole plane; the matrix oracle cannot
+    reach them."""
+    w = cached_group(label)
+    ids = w.element_ids()
+    lengths = absorder.length_table(w)
+    assert absorder.fixed_space(w.identity) == (0, ())
+    for g in w.elements():
+        e = ids[g.comps]
+        lowering = tuple(sorted(absorder._lowering_reflections(w, e)))
+        assert absorder.fixed_space(g) == (lengths[e], lowering), (label, g)
 
 
 def test_classify_element_reads_only_the_tables(monkeypatch):

@@ -119,13 +119,13 @@ def test_budget_skips_are_recorded_not_fatal():
 def test_timeout_checked_after_the_item(monkeypatch):
     # carter items charge their budget once, before their work; make that
     # work overrun the deadline so only the check after the item sees it
-    fast = absorder.reflections_fixing
+    fast = absorder.fixed_space
 
     def slow(g):
         time.sleep(0.02)
         return fast(g)
 
-    monkeypatch.setattr(absorder, "reflections_fixing", slow)
+    monkeypatch.setattr(absorder, "fixed_space", slow)
     report = run("A2", "carter", timeout_s=0.01)
     assert report.skipped == report.checked == 6
     for record in records_of(report)[2:-1]:
@@ -146,6 +146,18 @@ def test_carter_campaign_b3(label, order):
     assert (report.checked, report.failed) == (order, 0)
     for record in records_of(report)[2:-1]:
         assert record["length"] == record["bfs_length"]
+
+
+@pytest.mark.parametrize("label, distinct", [("D4", 72), ("H3", 48)])
+def test_carter_closes_each_parabolic_once(label, distinct):
+    """A ``carter`` sweep closes one subgroup per distinct parabolic
+    closure: the reflection-subgroup memo ends with one entry for each."""
+    w = build_group(label)
+    cfg = CampaignConfig(label, "carter")
+    for _, work in _CAMPAIGNS["carter"](w, cfg):
+        ok, _ = work(cfg.item_budget())
+        assert ok
+    assert len(w.memos["reflection_subgroup"]) == distinct
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "B2xA1", "I2(6)"])

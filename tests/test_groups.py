@@ -27,7 +27,13 @@ from coxorbits.errors import (
     ParseError,
     UnsupportedType,
 )
-from coxorbits.groups import CoxeterGroup, GroupElement, VectorFactor, breadth_first
+from coxorbits.groups import (
+    CoxeterGroup,
+    GroupElement,
+    VectorFactor,
+    breadth_first,
+    reflection_subgroup,
+)
 from coxorbits.linalg import Matrix, rank
 from coxorbits.roots import IrreducibleDatum, census, parse_datum
 from coxorbits.scalars import PHI, Scalar
@@ -481,6 +487,32 @@ def test_id_closures_match_element_closure_oracle(label):
         ), (label, g)
         assert sub.canonical_key == hashlib.sha256(payload.encode()).hexdigest()
         assert [x in sub for x in elems] == [x in oracle for x in elems], (label, g)
+
+
+@pytest.mark.parametrize("label", ["B3", "H3", "D4", "A2xI2(5)"])
+def test_reflection_subgroup_memo_matches_fresh_closure(label):
+    """The memoized subgroup of every element's parabolic closure against a
+    fresh closure on all of its reflections: members, order, reflections
+    and key, on a cold group (no table, component route), on a warm one
+    (id route, memo hits) and after the memos are cleared."""
+    w = build_group(label)
+    fixing = [frozenset(reflections_fixing(g)) for g in w.elements()]
+
+    def check():
+        for refls in fixing:
+            sub = reflection_subgroup(w, refls)
+            fresh = w.closure([w.reflection(t) for t in sorted(refls)])
+            assert (sub.members, sub.order, sub.reflection_ids, sub.canonical_key) == (
+                fresh.members, fresh.order, fresh.reflection_ids, fresh.canonical_key
+            ), (label, sorted(refls))
+
+    check()
+    assert "refl_mult_table" not in w.__dict__
+    w.refl_mult_table
+    check()
+    w.memos.clear()
+    check()
+    assert len(w.memos["reflection_subgroup"]) == len(set(fixing))
 
 
 @pytest.mark.parametrize("label", ["B3", "H3"])
