@@ -165,10 +165,6 @@ class _Factor:
             basis, _ = self.span_insert(basis, v)
         return basis
 
-    def fixed_codim_comp(self, p: Comp) -> int:
-        """Codimension of the fixed space: the dimension of the moved space."""
-        return len(self.span(self.moved_vectors(p)))
-
 
 class VectorFactor(_Factor):
     """An irreducible factor realized by an explicit root system on integer

@@ -189,7 +189,7 @@ def test_reflection_fixes_its_root_line_only_in_h3():
         p = f.refl_comp(t)
         idx = f.positive_roots[t]
         assert p[idx] == f.neg_of[idx]
-        assert f.fixed_codim_comp(p) == 1
+        assert len(f.span(f.moved_vectors(p))) == 1
 
 
 @pytest.mark.parametrize("label", ["H3", "F4", "E6", "H4"])
