@@ -25,7 +25,9 @@ their members, so they are written out (``_closure_comps``); one such pass
 yields the elements and the simple rows of ``refl_mult_table``, after which
 subgroup closures run on element ids, coset by coset, and a subgroup holds
 its members' ids (see :meth:`CoxeterGroup.closure`).  A reflection subgroup
-is closed once per reflection set (:func:`reflection_subgroup`).
+is closed from a greedy generating subset of its reflections
+(:func:`close_reflections`), once per reflection set
+(:func:`reflection_subgroup`).
 
 Elements serialize to a canonical text form (images of the simple roots, or
 the rotation/flip pair), which drives all deterministic ordering and the
@@ -928,15 +930,11 @@ class Subgroup:
         return tuple(t for t, x in enumerate(keys) if x in self.members)
 
 
-@per_group
-def reflection_subgroup(w: CoxeterGroup, refls: frozenset[int]) -> Subgroup:
-    """The subgroup the reflections ``refls`` generate, closed once per
-    reflection set: a reflection subgroup is fixed by its reflection set
-    (Dyer, *Reflection subgroups of Coxeter systems*, 1990), so a closed set
-    names one subgroup.  It is generated by the members of ``refls`` that the
-    reflection closure of the ones kept before does not reach, which keeps a
-    closure without an element table (E7, E8) from multiplying by every
-    member."""
+def close_reflections(w: CoxeterGroup, refls: frozenset[int]) -> Subgroup:
+    """The subgroup the reflections ``refls`` generate, generated by the
+    members of ``refls`` that the reflection closure of the ones kept before
+    does not reach, which keeps a closure without an element table (E7, E8)
+    from multiplying by every member."""
     gens: list[int] = []
     reached: frozenset[int] = frozenset()
     for t in sorted(refls):
@@ -944,6 +942,14 @@ def reflection_subgroup(w: CoxeterGroup, refls: frozenset[int]) -> Subgroup:
             gens.append(t)
             reached = w.reflection_closure(gens)
     return w.closure([w.reflection(t) for t in gens])
+
+
+@per_group
+def reflection_subgroup(w: CoxeterGroup, refls: frozenset[int]) -> Subgroup:
+    """:func:`close_reflections`, once per reflection set: a reflection
+    subgroup is fixed by its reflection set (Dyer, *Reflection subgroups of
+    Coxeter systems*, 1990), so a closed set names one subgroup."""
+    return close_reflections(w, refls)
 
 
 def build_group(spec: str, cap: int = DEFAULT_MAX_ELEMENTS) -> CoxeterGroup:

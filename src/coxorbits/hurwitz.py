@@ -29,7 +29,10 @@ blocks ``{t} x O`` with ``O`` a Hurwitz orbit one level down.  The move
 alone, so it maps each sub-block ``{t1} x {t2} x Q`` (``Q`` an orbit of
 ``X_{n-2}(t2 t1 e)``) onto ``{t2} x {t2 t1 t2} x Q``; one edge per sub-block
 joins the blocks into the orbits (:func:`_orbit_blocks`, memoized per
-group).  The partition counts its ground set without walking it, by
+group).  The pairs of one ``sigma_1``-cycle ``(a, b) -> (b, b a b) -> ..``
+share the product ``a b``, hence ``Q``, so their edges form a ring and the
+cycle's greatest pair gives none (:func:`_sigma1_marks`).  The partition
+counts its ground set without walking it, by
 :func:`~coxorbits.absorder.walk_size`; it checks that the orbits cover it
 and that each representative and witness multiplies to ``g``.  Moves keep
 the generated subgroup, so the full factorizations are a union of orbits,
@@ -61,7 +64,7 @@ from .absorder import (
 )
 from .budget import Budget
 from .errors import BadFactorization, IndexOutOfRange, ShapeNotFound
-from .groups import CoxeterGroup, GroupElement, per_group, reflection_subgroup
+from .groups import CoxeterGroup, GroupElement, close_reflections, per_group
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,11 @@ def _support_data(
     ``refls``, and the class label within it of each of them.  A reflection
     subgroup is fixed by its reflection set (Dyer, *Reflection subgroups of
     Coxeter systems*, 1990), so supports that generate the same subgroup
-    share one entry, and one :func:`~coxorbits.groups.reflection_subgroup`.
-    A class is the closure of a member under conjugation by ``refls``, which
-    generate the subgroup; each class is closed once."""
-    sub = reflection_subgroup(w, refls)
+    share one entry, and this memo closes each subgroup once, by the
+    unmemoized :func:`~coxorbits.groups.close_reflections`.  A class is the
+    closure of a member under conjugation by ``refls``, which generate the
+    subgroup; each class is closed once."""
+    sub = close_reflections(w, refls)
     serial = w.reflection_serializations
     labels: dict[int, str] = {}
     for t in sorted(refls):
@@ -186,6 +190,38 @@ def _move_deltas(w: CoxeterGroup) -> list[int]:
         for a in range(n_refl)
         for b in range(n_refl)
     ]
+
+
+@per_group
+def _sigma1_marks(w: CoxeterGroup) -> list[bytes]:
+    """``marks[a][b]`` is 1 when ``(a, b)`` is the greatest pair (as the
+    code ``a N + b``) of its cycle under ``sigma_1: (a, b) -> (b, b a b)``,
+    and 0 otherwise.  The cycle keeps the product ``a b`` and has length
+    its order (Baumeister-Gobet-Roberts-Wegener, *On the Hurwitz action in
+    finite Coxeter groups*, 2017): a fixed ``(a, a)`` is marked, and of a
+    commuting pair ``(a, b), (b, a)`` the greater."""
+    conj = w.refl_conj_table
+    n_refl = w.num_reflections
+    marks = [bytearray(n_refl) for _ in range(n_refl)]
+    seen = [bytearray(n_refl) for _ in range(n_refl)]
+    for a0 in range(n_refl):
+        for b0 in range(n_refl):
+            if seen[a0][b0]:
+                continue
+            top = a, b = a0, b0
+            while not seen[a][b]:
+                seen[a][b] = 1
+                top = max(top, (a, b))
+                a, b = b, conj[a][b]
+            marks[top[0]][top[1]] = 1
+    return [bytes(row) for row in marks]
+
+
+@per_group
+def _shared_row(w: CoxeterGroup, row: tuple[int, ...]) -> tuple[int, ...]:
+    """The first row equal to ``row`` that was passed here, so equal
+    :class:`_Blocks` index rows, most of them empty, are one object."""
+    return row
 
 
 def _lr_shape(
@@ -359,12 +395,13 @@ class _Blocks(NamedTuple):
     """The Hurwitz orbits on ``X_n(e)``, numbered by their least codes:
     each orbit's least code, size and least left-normal-shape code (``None``
     when it has no such member), and ``index[t][j]``, the orbit holding
-    ``{t} x (orbit j of X_{n-1}(t e))``."""
+    ``{t} x (orbit j of X_{n-1}(t e))``.  The rows of ``index`` are shared
+    tuples (:func:`_shared_row`)."""
 
     least: list[int]
     sizes: list[int]
     shaped: list[int | None]
-    index: list[list[int]]
+    index: list[tuple[int, ...]]
 
 
 #: The blocks of an empty ground set, shared by every ``(e, n)`` that has one.
@@ -381,10 +418,13 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     orbits of ``sigma_2 .. sigma_{n-1}``.  For each ``t1``, ``t2`` and orbit
     ``q`` of ``X_{n-2}(t2 t1 e)``, ``sigma_1`` joins the block holding
     ``(t1, t2, q)`` to the one holding ``(t2, t2 t1 t2, q)``; the joined
-    blocks are the orbits.  Blocks come in increasing order of their least
-    codes, so an orbit's first block carries its least code.  At zero
-    excess ``n - l(e)`` every member has left normal shape; otherwise the
-    shaped members are ``(t, t, y)`` with ``y`` shaped in ``X_{n-2}(e)``.
+    blocks are the orbits.  A marked pair (:func:`_sigma1_marks`) is
+    skipped: the rest of its cycle already joins its sub-blocks.  Blocks
+    come in increasing order of their least codes, and a union keeps the
+    lesser root, so every parent pointer points down and an orbit's least
+    block is its root and carries its least code.  At zero excess
+    ``n - l(e)`` every member has left normal shape; otherwise the shaped
+    members are ``(t, t, y)`` with ``y`` shaped in ``X_{n-2}(e)``.
 
     A child ``X_{n-1}(t e)`` is empty exactly when ``l(t e) > n - 1``, as
     its parity always matches; it is not asked for, so the memo holds no
@@ -400,6 +440,7 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
         return _Blocks([0], [1], [0], [])
     mult = w.refl_mult_table
     conj = w.refl_conj_table
+    marks = _sigma1_marks(w)
     n_refl = w.num_reflections
     scale = n_refl ** (n - 1)
     children = [
@@ -408,37 +449,40 @@ def _orbit_blocks(w: CoxeterGroup, e: int, n: int) -> _Blocks:
     ]
     offset = list(accumulate((len(c.sizes) for c in children), initial=0))
     parent = list(range(offset[-1]))
-
-    def find(b: int) -> int:
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        return b
-
     for t1, child in enumerate(children):
-        row = conj[t1]
+        row, skip, base = conj[t1], marks[t1], offset[t1]
         for t2, sub in enumerate(child.index):
-            if sub and t2 != t1:  # (t, t, q) is fixed by sigma_1
+            if sub and not skip[t2]:
                 image = children[t2].index[row[t2]]
-                for q, j in enumerate(sub):
-                    a = find(offset[t1] + j)
-                    b = find(offset[t2] + image[q])
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                shift = offset[t2]
+                for j, k in zip(sub, image):
+                    a = base + j
+                    while parent[a] != a:  # find, halving the path
+                        parent[a] = a = parent[parent[a]]
+                    b = shift + k
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a < b:
+                        parent[b] = a
+                    elif b < a:
+                        parent[a] = b
     least: list[int] = []
     sizes: list[int] = []
     block_orbit: list[int] = []
     for t, child in enumerate(children):
         for j, size in enumerate(child.sizes):
-            root = find(offset[t] + j)
-            if root == len(block_orbit):  # the root is its orbit's least block
+            up = parent[len(block_orbit)]  # a lesser block of its orbit, or itself
+            if up == len(block_orbit):  # the root is its orbit's least block
                 block_orbit.append(len(least))
                 least.append(t * scale + child.least[j])
                 sizes.append(size)
             else:
-                block_orbit.append(block_orbit[root])
-                sizes[block_orbit[root]] += size
-    index = [block_orbit[offset[t]: offset[t + 1]] for t in range(n_refl)]
+                block_orbit.append(block_orbit[up])
+                sizes[block_orbit[up]] += size
+    index = [
+        _shared_row(w, tuple(block_orbit[offset[t]: offset[t + 1]]))
+        for t in range(n_refl)
+    ]
     if n == lengths[e]:
         shaped: list[int | None] = list(least)
     else:

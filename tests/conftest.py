@@ -189,6 +189,10 @@ def kernel_contains(m: Matrix, n: Matrix) -> bool:
     if m.n_rows != m.n_cols or n.n_rows != n.n_cols or m.n_rows != n.n_rows:
         raise ValueError("kernel_contains needs square matrices of equal size")
     ident = Matrix.identity(m.n_rows)
-    m_diff = m - ident
-    n_diff = n - ident
-    return all(not any(m_diff.apply(v)) for v in kernel_basis(n_diff))
+    return kills(m - ident, kernel_basis(n - ident))
+
+
+def kills(diff: Matrix, basis: list) -> bool:
+    """:func:`kernel_contains`'s rule on a difference ``M - I`` and a kernel
+    basis of ``N - I`` computed once, for callers that test many pairs."""
+    return all(not any(diff.apply(v)) for v in basis)

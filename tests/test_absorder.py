@@ -31,7 +31,7 @@ from conftest import (
     bfs_length_table,
     brute_reduced_factorizations,
     cached_group,
-    kernel_contains,
+    kills,
 )
 from coxorbits import absorder, gensets
 from coxorbits.absorder import (
@@ -56,6 +56,7 @@ from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
 from coxorbits.groups import DihedralFactor, VectorFactor, build_group
 from coxorbits.hurwitz import enumerate_factorizations
+from coxorbits.linalg import Matrix, kernel_basis
 from coxorbits.scalars import Scalar
 
 
@@ -155,19 +156,24 @@ def test_reflections_below_equal_parabolic_closure():
     """Four routes to "t lies below g", on every element of the
     vector-realized groups (``matrix()`` refuses dihedral factors): absolute
     order, matrix fixed-space containment, membership in the parabolic
-    closure, and the length drop ``l(t g) = l(g) - 1`` read from the tables."""
+    closure, and the length drop ``l(t g) = l(g) - 1`` read from the tables.
+    The fixed-space test is :func:`conftest.kernel_contains` with each
+    reflection's ``M - I`` built once per group and each element's kernel
+    basis once per element."""
     for label in ["A3", "B3", "H3", "D4", "B2xA1"]:
         w = cached_group(label)
         ids = w.element_ids()
         refls = [(t, w.reflection(t)) for t in w.reflection_ids()]
-        matrices = [r.matrix() for _, r in refls]  # once per group
+        matrices = [r.matrix() for _, r in refls]
+        ident = Matrix.identity(matrices[0].n_rows)
+        diffs = [rm - ident for rm in matrices]
         for g in w.elements():
             closure = parabolic_closure(g)
-            gm = g.matrix()
+            fixed = kernel_basis(g.matrix() - ident)
             lowering = set(absorder._lowering_reflections(w, ids[g.comps]))
-            for (t, r), rm in zip(refls, matrices):
+            for (t, r), diff in zip(refls, diffs):
                 below = absolute_leq(r, g)
-                contains = kernel_contains(rm, gm)
+                contains = kills(diff, fixed)
                 member = r in closure
                 assert below == contains == member == (t in lowering)
 

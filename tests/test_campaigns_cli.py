@@ -293,11 +293,12 @@ MEMO_CAMPAIGNS = ("pqc-characterization", "conjecture", "min-full-transitivity")
 
 
 def item_records(w, max_tuples) -> dict[str, list]:
-    """Each memo-heavy campaign's items, built through ``_CAMPAIGNS`` and run
-    on ``w``: the key, then the verdict, payload and charges, or the cap
-    that skipped the item."""
+    """Each memo-heavy campaign's items, and ``carter``'s, whose parabolic
+    closures go through ``groups.reflection_subgroup``, built through
+    ``_CAMPAIGNS`` and run on ``w``: the key, then the verdict, payload and
+    charges, or the cap that skipped the item."""
     out = {}
-    for campaign in MEMO_CAMPAIGNS:
+    for campaign in (*MEMO_CAMPAIGNS, "carter"):
         cfg = CampaignConfig(w.name, campaign, max_tuples=max_tuples)
         out[campaign] = records = []
         for key, work in _CAMPAIGNS[campaign](w, cfg):

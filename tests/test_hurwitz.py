@@ -458,6 +458,53 @@ def test_orbit_blocks_memo_holds_no_empty_entry():
     assert hurwitz._orbit_blocks(w, c, 2) is hurwitz._orbit_blocks(w, c, 4)
 
 
+def element_order(g) -> int:
+    """Oracle: the order of ``g`` by repeated multiplication."""
+    x, k = g, 1
+    while x != g.group.identity:
+        x, k = x * g, k + 1
+    return k
+
+
+@pytest.mark.parametrize("label", ["B3", "H3", "D4", "F4", "I2(12)"])
+def test_sigma1_marks_one_pair_per_cycle(label):
+    """Each ``sigma_1``-cycle of reflection pairs, walked by multiplying
+    elements, has exactly one marked pair, and its length is the order of
+    the pair's product."""
+    w = cached_group(label)
+    marks = hurwitz._sigma1_marks(w)
+    refl = [w.reflection(t) for t in w.reflection_ids()]
+    refl_id = {r.comps: t for t, r in enumerate(refl)}
+    seen = set()
+    for pair in itertools.product(range(len(refl)), repeat=2):
+        if pair in seen:
+            continue
+        cycle = [pair]
+        while True:
+            a, b = cycle[-1]
+            step = (b, refl_id[(refl[b] * refl[a] * refl[b]).comps])
+            if step == pair:
+                break
+            cycle.append(step)
+        seen.update(cycle)
+        assert sum(marks[a][b] for a, b in cycle) == 1, cycle
+        assert len(cycle) == element_order(refl[pair[0]] * refl[pair[1]])
+
+
+@pytest.mark.parametrize("label", ["B3", "H3"])
+def test_orbit_block_rows_are_shared_tuples(label):
+    """After a ``conjecture`` sweep every ``index`` row is a tuple, and equal
+    rows, across all entries, are one object."""
+    w = build_group(label)
+    for _, work in _CAMPAIGNS["conjecture"](w, CampaignConfig(label, "conjecture")):
+        work(None)
+    first = {}
+    for blocks in w.memos["_orbit_blocks"].values():
+        for row in blocks.index:
+            assert type(row) is tuple
+            assert first.setdefault(row, row) is row
+
+
 @pytest.mark.parametrize(
     "label,part,parts",
     [("A3", 0, 1), ("B3", 0, 1), ("B2xA1", 0, 1), ("I2(5)", 0, 1)]
