@@ -5,12 +5,16 @@ finds it for the whole group, breadth first along ``refl_mult_table`` rows;
 :func:`reflection_length` computes one element's as the codimension of its
 fixed space (Carter, 1972), and the ``carter`` campaign checks that they
 agree.  :func:`fixed_space` reads that codimension and the reflections
-fixing the fixed space from one moved-space basis per factor.  Absolute
-order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The geometry runs on
-the factors' span routine (see :mod:`~coxorbits.groups`), without branching
-on the factor kind, and on integers, never on ``Scalar`` values: a vector
-factor's roots are integer lattice vectors and its span is a fraction-free
-echelon.
+fixing the fixed space from one walk over the cycles of each factor's
+component, with no elimination: the mean of the powers of ``g`` projects
+onto ``Fix(g)``, so a reflection fixes ``Fix(g)`` exactly when its root's
+cycle sums to zero, and ``dim Fix(g)`` is the trace of that projection.
+Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The common
+fixed space of several elements (:func:`is_parabolic`) runs on the factors'
+span routine, a fraction-free echelon on a vector factor.  Both run without
+branching on the factor kind (see :mod:`~coxorbits.groups`) and on integers,
+never on ``Scalar`` values: a vector factor's roots are integer lattice
+vectors.
 
 Whole-group queries read only the integer tables, through element ids:
 ``length_table`` and ``refl_mult_table``.  They decide "the reflection
@@ -70,7 +74,7 @@ from .groups import (
 
 def reflection_length(g: GroupElement) -> int:
     """Codimension of the fixed space of ``g`` (factor by factor, exact)."""
-    return sum(map(len, _moved_bases(g.group, [g.comps])))
+    return fixed_space(g)[0]
 
 
 @per_group
@@ -104,46 +108,37 @@ def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
 def _moved_bases(w: CoxeterGroup, comps_list: list[tuple]) -> list[tuple]:
     """For each factor, a basis of the sum of the given elements' moved
     spaces ``Im(g_k - 1)``, which is ``(cap Fix g_k)^perp``: its size is the
-    codimension of the common fixed space in that factor."""
+    codimension of the common fixed space in that factor.  Only the common
+    fixed space of several elements needs it (:func:`is_parabolic`); one
+    element's comes from :func:`fixed_space`."""
     return [
         f.span(v for c in comps_list for v in f.moved_vectors(c[fi]))
         for fi, f in enumerate(w.factors)
     ]
 
 
-def _fixing_reflections(w: CoxeterGroup, bases: list[tuple]) -> tuple[int, ...]:
-    """Global ids of all reflections fixing (pointwise) the common fixed
-    space whose moved spaces are ``bases`` (:func:`_moved_bases`): those
-    whose root lies in the moved space.  Where a factor's moved space is
-    the whole factor, its fixed space is 0 and every reflection of it
-    qualifies untested."""
-    out: list[int] = []
-    for fi, (f, basis) in enumerate(zip(w.factors, bases)):
-        full = len(basis) == f.rank
-        out.extend(
-            w.global_reflection_id(fi, t)
-            for t in range(f.num_reflections)
-            if full or f.in_span(basis, f.root_vector(t))
-        )
-    return tuple(out)
-
-
 def fixed_space(g: GroupElement) -> tuple[int, tuple[int, ...]]:
     """The codimension of the fixed space of ``g`` and the reflections
-    whose hyperplane contains it, from one pass over its moved spaces: its
-    :func:`reflection_length` and its :func:`reflections_fixing`.
+    whose hyperplane contains it, factor by factor from one walk over the
+    cycles of ``g`` (``fixed_comp``): its :func:`reflection_length` and its
+    :func:`reflections_fixing`.
 
     >>> w = CoxeterGroup("B2")  # a rotation fixes only 0
     >>> fixed_space(w.reflection(0) * w.reflection(1))
     (2, (0, 1, 2, 3))
     """
-    bases = _moved_bases(g.group, [g.comps])
-    return sum(map(len, bases)), _fixing_reflections(g.group, bases)
+    w = g.group
+    codim, fixing = 0, []
+    for fi, (f, c) in enumerate(zip(w.factors, g.comps)):
+        k, local = f.fixed_comp(c)
+        codim += k
+        fixing.extend(w.global_reflection_id(fi, t) for t in local)
+    return codim, tuple(fixing)
 
 
 def reflections_fixing(g: GroupElement) -> tuple[int, ...]:
     """Reflections whose hyperplane contains the fixed space of ``g``,
-    decided by linear algebra on the fixed spaces alone."""
+    decided by geometry on the fixed space alone."""
     return fixed_space(g)[1]
 
 
@@ -168,7 +163,15 @@ def is_parabolic(sub: Subgroup) -> bool:
     """
     w = sub.group
     bases = _moved_bases(w, [g.comps for g in sub.generators])
-    return reflection_subgroup(w, frozenset(_fixing_reflections(w, bases))) == sub
+    # a reflection fixes the common fixed space when its root lies in the
+    # moved space; where that is the whole factor, every reflection does
+    fixing = frozenset(
+        w.global_reflection_id(fi, t)
+        for fi, (f, basis) in enumerate(zip(w.factors, bases))
+        for t in range(f.num_reflections)
+        if len(basis) == f.rank or f.in_span(basis, f.root_vector(t))
+    )
+    return reflection_subgroup(w, fixing) == sub
 
 
 def _lowering_reflections(w: CoxeterGroup, e: int) -> list[int]:
@@ -178,7 +181,7 @@ def _lowering_reflections(w: CoxeterGroup, e: int) -> list[int]:
     By Carter's lemma (Carter, *Conjugacy classes in the Weyl group*, 1972)
     ``l(t g) < l(g)`` exactly when ``Fix(g)`` lies in the hyperplane of
     ``t``: these are the reflections of the parabolic closure of ``g``,
-    which :func:`reflections_fixing` finds by linear algebra.
+    which :func:`reflections_fixing` finds from the cycles of ``g``.
     """
     lengths = length_table(w)
     mult = w.refl_mult_table
@@ -520,7 +523,9 @@ def _full_search(
     ``(t q, remaining - 1, closure(closed | {t}))`` for the ``t`` with
     ``l(t q) < remaining``, up to the first that succeeds.
 
-    States and closure steps (:func:`_closure_step`) are memoized.
+    States and closure steps (:func:`_closure_step`) are memoized; a step
+    by a ``t`` in ``closed`` keeps ``closed``, already a reflection closure,
+    and takes no closure step.
     """
     lengths = length_table(w)
     if len(closed) == w.num_reflections:
@@ -530,7 +535,7 @@ def _full_search(
     expanded = 1
     for t, row in enumerate(w.refl_mult_table):
         if lengths[row[q]] < remaining:
-            after = _closure_step(w, closed, t)
+            after = closed if t in closed else _closure_step(w, closed, t)
             below = _full_search(w, row[q], remaining - 1, after)
             expanded += below.expanded
             if below.found:

@@ -14,8 +14,9 @@ coordinates into ``Scalar`` values at the API edge.  Every reflection is
 so every other root permutation, and every other ``refl_mult_table`` row,
 is conjugated from one already built by chasing integer indices.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
-element of a product holds one component per factor.  All fixed-space
-geometry runs on one span routine per factor kind (see ``_Factor``).
+element of a product holds one component per factor.  One element's fixed
+space comes from the cycles of its root permutation, and the common fixed
+space of several from one span routine per factor kind (see ``_Factor``).
 
 Closures that need only the states they reach run on one layered search,
 :func:`breadth_first`: the root system, the conjugacy classes of
@@ -155,8 +156,13 @@ def _reduce(basis: tuple, v: Sequence[int]) -> Sequence[int]:
 
 
 class _Factor:
-    """Fixed-space geometry over each kind's span routine: ``()`` is the
-    empty basis, ``span_insert(basis, v)`` gives the new basis and whether it
+    """Fixed-space geometry of each factor kind.
+
+    One element's fixed space comes from ``fixed_comp(p)``: its codimension
+    and the local ids of the reflections fixing it pointwise, with no
+    elimination.  The span routine serves only the common fixed space of
+    several elements, and the rank of several roots: ``()`` is the empty
+    basis, ``span_insert(basis, v)`` gives the new basis and whether it
     grew, ``in_span(basis, v)`` tests membership, ``moved_vectors(p)`` spans
     ``Im(g - 1) = Fix(g)^perp`` and ``root_vector(t)`` stands for a root."""
 
@@ -324,6 +330,50 @@ class VectorFactor(_Factor):
 
     # -- fixed-space geometry ----------------------------------------------
 
+    def fixed_comp(self, p: Comp) -> tuple[int, list[int]]:
+        """The codimension of ``Fix(g)`` and the local ids of the reflections
+        fixing it pointwise, for ``g`` with root permutation ``p``, from one
+        walk over its cycles.
+
+        The mean ``P`` of the powers of ``g`` projects onto ``Fix(g)`` with
+        kernel ``Mov(g) = Im(g - 1)``, and takes a root to the mean of its
+        ``g``-cycle.  So a reflection fixes ``Fix(g)``, its root lying in
+        ``Mov(g)``, exactly when that cycle sums to zero.  And ``dim Fix(g)``
+        is the trace of ``P``: the sum over the simple roots ``alpha_i`` of
+        the ``alpha_i``-coefficient of their cycle's mean.  That trace is
+        rational, so on H its ``phi``-part vanishes and the coordinates
+        ``m_i`` alone give it, as ``num / den``.
+        """
+        roots, rank = self.roots, self.rank
+        zero_sum: list[bool | None] = [None] * len(p)
+        num, den = 0, 1
+        fixing = []
+        for t, k in enumerate(self.positive_roots):
+            if p[k] == k:
+                if k < rank:
+                    num += den
+                continue
+            if zero_sum[k] is None:
+                cycle = [k]
+                x = p[k]
+                while x != k:
+                    cycle.append(x)
+                    x = p[x]
+                total = [sum(c) for c in zip(*[roots[x] for x in cycle])]
+                zero = not any(total)
+                for x in cycle:
+                    zero_sum[x] = zero
+                if not zero and k < rank:
+                    # simple roots open the positive list, so a cycle
+                    # through some simple root is first walked from one
+                    simple = sum(total[x] for x in cycle if x < rank)
+                    num, den = num * len(cycle) + den * simple, den * len(cycle)
+            if zero_sum[k]:
+                fixing.append(t)
+        dim, rest = divmod(num, den)
+        assert not rest, (num, den)
+        return rank - dim, fixing
+
     def moved_vectors(self, p: Comp) -> list[Lattice]:
         """The nonzero ``g(alpha_i) - alpha_i`` over the simple roots."""
         roots = self.roots
@@ -408,6 +458,15 @@ class DihedralFactor(_Factor):
 
     def serialize_comp(self, p: Comp) -> str:
         return f"{p[0]},{p[1]}"
+
+    def fixed_comp(self, p: Comp) -> tuple[int, Sequence[int]]:
+        """A flip fixes a line in its own hyperplane only, a nontrivial
+        rotation fixes only 0, in every hyperplane, and the identity fixes
+        the plane, in none."""
+        a, f = p
+        if f:
+            return 1, (a,)
+        return (2, range(self.m)) if a else (0, ())
 
     def moved_vectors(self, p: Comp) -> list[int]:
         """A flip moves its line, a nontrivial rotation the whole plane."""

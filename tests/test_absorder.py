@@ -2,6 +2,7 @@
 quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
+* fixed spaces: the root-cycle route vs the span route (elimination),
 * reduced factorizations: pruned search vs brute-force product filtering,
 * the factorization walker: empty at impossible lengths, raising at a
   negative one, equal to the enumeration and to product filtering
@@ -21,6 +22,7 @@ quasi-Coxeter classifiers, checked against independent oracles:
   memo, on a cold and on a warm group alike.
 """
 import itertools
+import random
 from collections import defaultdict
 
 import pytest
@@ -192,6 +194,44 @@ def test_fixed_space_on_dihedral_factors(label):
         e = ids[g.comps]
         lowering = tuple(sorted(absorder._lowering_reflections(w, e)))
         assert absorder.fixed_space(g) == (lengths[e], lowering), (label, g)
+
+
+def span_route(g) -> tuple[int, tuple[int, ...]]:
+    """The codimension of ``Fix(g)`` and the reflections fixing it, by
+    elimination: a basis of each factor's moved space, and one span test
+    per root."""
+    w = g.group
+    bases = absorder._moved_bases(w, [g.comps])
+    fixing = tuple(
+        w.global_reflection_id(fi, t)
+        for fi, (f, basis) in enumerate(zip(w.factors, bases))
+        for t in range(f.num_reflections)
+        if f.in_span(basis, f.root_vector(t))
+    )
+    return sum(map(len, bases)), fixing
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(8)", "E7", "E8", "H4"],
+)
+def test_fixed_space_matches_span_route(label):
+    """The cycle route of ``fixed_space`` against the span route, on every
+    element, and on seeded random words in the reflections on E7, E8 and
+    H4, whose element tables are refused or slow to build."""
+    w = cached_group(label)
+    if label in ("E7", "E8", "H4"):
+        rng = random.Random(f"fixed-{label}")
+        elements = []
+        for _ in range(150):
+            g = w.identity
+            for _ in range(rng.randint(0, 2 * w.rank)):
+                g = g * w.reflection(rng.randrange(w.num_reflections))
+            elements.append(g)
+    else:
+        elements = w.elements()
+    for g in elements:
+        assert absorder.fixed_space(g) == span_route(g), (label, g)
 
 
 def test_classify_element_reads_only_the_tables(monkeypatch):
