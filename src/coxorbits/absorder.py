@@ -42,7 +42,16 @@ share the one rule that rejects a negative length, for every view.
 
 The full reflection length enumerates nothing: it is a search over states
 ``(quotient, slots left, reflection closure of the factors so far)``,
-memoized per group with its closure steps (:func:`_full_search`).
+memoized per group with its closure steps (:func:`_full_search`).  A rank
+bound prunes it: if reflections ``t_1 .. t_m`` with product ``g`` have
+roots spanning ``U``, then ``l(g) >= 2 dim U - m``.  By induction on ``m``:
+a last root inside the span ``U'`` of the others changes the length by
+one and keeps the span; one outside ``U'`` lies outside
+``Mov(g') <= U'``, so by Carter's lemma the length rises by one with the
+span.  A factorization of ``g`` that generates W spans the whole space, so
+the full length is at least ``2n - l(g)`` (``n`` the rank), and every
+shorter length fails at once.  The search reads the span of a state from
+the integer tables (:func:`_moved_dimension`).
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -480,7 +489,9 @@ def full_reflection_length(
     Tries the lengths ``l(g), l(g)+2, ...`` (parity is forced) in turn and
     stops at the first at which :func:`_full_search` finds a generating
     factorization; a reduced factorization extended by pairs of simple
-    reflections shows that ``l(g) + 2n`` always suffices.  With a budget,
+    reflections shows that ``l(g) + 2n`` always suffices.  The rank bound
+    (see the module docstring) makes it at least ``2n - l(g)``: every
+    shorter length fails at its first state, unsearched.  With a budget,
     each length tried charges ``max_tuples`` with ``|T|`` for every state
     its search expands, counted as if nothing were memoized, so the charge
     does not depend on what ran before on the group.
@@ -500,7 +511,9 @@ def full_reflection_length(
 class _FullSearch(NamedTuple):
     """Whether a state of :func:`_full_search` has a generating completion,
     and how many states a search without memo expands from it, stopping at
-    the first success."""
+    the first success.  A state with no completion expands the walker's
+    nodes from it (:func:`_walk_size`): none of them has the closure T,
+    and none stops early."""
 
     found: bool
     expanded: int
@@ -523,6 +536,15 @@ def _full_search(
     ``(t q, remaining - 1, closure(closed | {t}))`` for the ``t`` with
     ``l(t q) < remaining``, up to the first that succeeds.
 
+    A state is pruned by the rank bound (module docstring).  Any completion
+    has ``remaining`` factors with product ``q``, so its roots span some
+    ``U`` of dimension at most ``(remaining + l(q)) / 2`` that contains
+    ``Mov(q)``.  With ``D`` the dimension of the span of ``closed`` and
+    ``Mov(q)`` (:func:`_moved_dimension`), all the roots then span at most
+    ``D + (remaining - l(q)) / 2`` dimensions, and no completion generates
+    W when that is below ``n``.  A pruned state charges the walker's visits
+    from it, so the charge is the one a search without the bound makes.
+
     States and closure steps (:func:`_closure_step`) are memoized; a step
     by a ``t`` in ``closed`` keeps ``closed``, already a reflection closure,
     and takes no closure step.
@@ -532,6 +554,9 @@ def _full_search(
         return _FullSearch(lengths[q] <= remaining, 0)
     if remaining == 0:
         return _FullSearch(False, 0)
+    spanned = _moved_dimension(w, q, closed)
+    if 2 * spanned + remaining - lengths[q] < 2 * w.rank:
+        return _FullSearch(False, _walk_size(w, q, remaining).visits)
     expanded = 1
     for t, row in enumerate(w.refl_mult_table):
         if lengths[row[q]] < remaining:
@@ -541,6 +566,23 @@ def _full_search(
             if below.found:
                 return _FullSearch(True, expanded)
     return _FullSearch(False, expanded)
+
+
+def _moved_dimension(w: CoxeterGroup, q: int, refls: frozenset[int]) -> int:
+    """The dimension of ``Mov(q)`` plus the span of the roots of ``refls``,
+    from the integer tables: starting at ``x = q``, each ``t`` whose root
+    lies outside ``Mov(x)`` replaces ``x`` by ``t x``, which by Carter's
+    lemma adds that root to ``Mov(x)`` and raises ``l(x)`` by one; a root
+    inside ``Mov(x)`` would lower it instead and is skipped.  At the end
+    ``Mov(x)`` holds ``Mov(q)`` and every root, and ``l(x)`` is its
+    dimension."""
+    lengths = length_table(w)
+    rows = w.refl_mult_table
+    x = q
+    for t in refls:
+        if lengths[rows[t][x]] > lengths[x]:
+            x = rows[t][x]
+    return lengths[x]
 
 
 @per_group

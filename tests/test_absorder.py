@@ -19,7 +19,13 @@ quasi-Coxeter classifiers, checked against independent oracles:
   reflection length's state search vs the first length at which full
   factorization codes exist,
 * the full reflection length's ``max_tuples`` charge vs a search without
-  memo, on a cold and on a warm group alike.
+  memo or pruning, on a cold and on a warm group alike,
+* the rank bound that prunes the full length's search: the roots of
+  every factorization of ``g`` of length ``m = l(g)`` or ``l(g) + 2``
+  span at most ``(m + l(g)) / 2`` dimensions (``Scalar`` rank), the
+  bound's table dimension vs the ``Scalar`` rank of the moved space and
+  roots, and each length below ``2n - l(g)`` fails unsearched, charging
+  the walker's visits.
 """
 import itertools
 import random
@@ -58,7 +64,7 @@ from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
 from coxorbits.groups import DihedralFactor, VectorFactor, build_group
 from coxorbits.hurwitz import enumerate_factorizations
-from coxorbits.linalg import Matrix, kernel_basis
+from coxorbits.linalg import Matrix, kernel_basis, rank
 from coxorbits.scalars import Scalar
 
 
@@ -772,8 +778,9 @@ def test_full_length_matches_full_factorization_codes(label):
 
 def plain_search_expansions(g, length) -> tuple[bool, int]:
     """Oracle for the charge: a depth-first search over factor prefixes
-    without memo, in the walker's order, that decides generation by
-    ``generates_whole`` on the prefix and stops at the first success.
+    without memo or pruning, in the walker's order, that decides
+    generation by ``generates_whole`` on the prefix and stops at the first
+    success.
     Returns whether it succeeded and how many prefixes it expanded."""
     w = g.group
     lengths = absorder.length_table(w)
@@ -796,7 +803,9 @@ def plain_search_expansions(g, length) -> tuple[bool, int]:
     return search(w.element_ids()[g.comps], length, frozenset())
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+@pytest.mark.parametrize(
+    "label", ["A2", "B2", "A3", "B2xA1", "I2(6)", "B3", "H3", "D4"]
+)
 def test_full_length_charges_a_plain_search(label):
     """Each length tried charges ``|T|`` per prefix a memo-free search
     expands, up to its first success."""
@@ -834,3 +843,90 @@ def test_full_length_charge_does_not_depend_on_the_memo():
     for w in (build_group("B3"), warm):
         with pytest.raises(CapExceeded):
             full_reflection_length(minus_one(w), Budget(max_tuples=cap))
+
+
+def moved_span_dim(w, elements) -> int:
+    """Oracle: the dimension of the sum of the moved spaces ``Im(x - 1)``
+    of ``elements`` (for a reflection, its root line), factor by factor.
+    On a vector factor, the ``Scalar`` rank of the columns of every
+    ``x - 1``; on a dihedral factor, two if some element is a nontrivial
+    rotation there, and otherwise the number of distinct flip lines, since
+    two lines span the plane."""
+    dim = 0
+    for fi, f in enumerate(w.factors):
+        comps = {x.comps[fi] for x in elements}
+        if f.kind == "dihedral":
+            lines = {a for a, flip in comps if flip}
+            rotates = any(a and not flip for a, flip in comps)
+            dim += 2 if rotates else min(2, len(lines))
+        else:
+            ident = Matrix.identity(f.rank)
+            columns = [
+                col for c in comps for col in zip(*(f.matrix_comp(c) - ident).rows)
+            ]
+            dim += rank(Matrix.from_columns(columns)) if columns else 0
+    return dim
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "B2xA1", "I2(6)"])
+def test_factor_roots_span_at_most_half_length_plus_defect(label):
+    """The lemma behind the full length's pruning, checked without the
+    tables: reflections ``t_1 .. t_m`` with product ``g`` have roots
+    spanning at most ``(m + l(g)) / 2`` dimensions, with equality on
+    reduced factorizations, on every factorization of length ``l(g)`` and
+    ``l(g) + 2`` of every element (product filtering, Cayley distance,
+    ``Scalar`` rank)."""
+    w = cached_group(label)
+    lengths = bfs_length_table(label)
+    ids = w.element_ids()
+    dims: dict = {}
+    for m in range(w.rank + 3):
+        for g in w.elements():
+            length = lengths[ids[g.comps]]
+            if m - length not in (0, 2):
+                continue
+            for fact in brute_reduced_factorizations(g, m):
+                key = frozenset(fact)
+                if key not in dims:
+                    dims[key] = moved_span_dim(w, [w.reflection(t) for t in key])
+                assert 2 * dims[key] <= m + length, (g, fact)
+                assert m > length or 2 * dims[key] == m + length, (g, fact)
+
+
+@pytest.mark.parametrize(
+    "label", ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)"]
+)
+def test_moved_dimension_matches_scalar_rank(label):
+    """The bound's ``D``, read from the tables, against the rank of
+    ``Mov(q)`` and the roots of a reflection set (:func:`moved_span_dim`),
+    on seeded states: random elements with random reflection sets, raw and
+    closed as the search holds them."""
+    w = cached_group(label)
+    ids = w.element_ids()
+    elements = w.elements()
+    rng = random.Random(f"moved-{label}")
+    for _ in range(60):
+        g = rng.choice(elements)
+        size = rng.randint(0, w.rank)
+        refls = frozenset(rng.sample(range(w.num_reflections), size))
+        for key in (refls, w.reflection_closure(refls)):
+            expected = moved_span_dim(w, [g] + [w.reflection(t) for t in key])
+            assert absorder._moved_dimension(w, ids[g.comps], key) == expected
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "A2xI2(5)"])
+def test_lengths_below_the_rank_bound_are_not_searched(label, monkeypatch):
+    """On a fresh group, each length below ``2n - l(g)`` fails at its
+    first state and charges the walker's visits, without a closure step."""
+    w = build_group(label)
+    ids = w.element_ids()
+
+    def refuse(*args):
+        raise AssertionError("state expanded")
+
+    monkeypatch.setattr(absorder, "_closure_step", refuse)
+    for g in w.elements():
+        base = reflection_length(g)
+        for length in range(base, 2 * w.rank - base, 2):
+            search = absorder._full_search(w, ids[g.comps], length, frozenset())
+            assert search == (False, walk_size(g, length).visits), (g, length)
