@@ -9,12 +9,12 @@ fixing the fixed space from one walk over the cycles of each factor's
 component, with no elimination: the mean of the powers of ``g`` projects
 onto ``Fix(g)``, so a reflection fixes ``Fix(g)`` exactly when its root's
 cycle sums to zero, and ``dim Fix(g)`` is the trace of that projection.
-Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The common
-fixed space of several elements (:func:`is_parabolic`) runs on the factors'
-span routine, a fraction-free echelon on a vector factor.  Both run without
-branching on the factor kind (see :mod:`~coxorbits.groups`) and on integers,
-never on ``Scalar`` values: a vector factor's roots are integer lattice
-vectors.
+Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The fixed
+space of a reflection subgroup (:func:`is_parabolic`) is that of one element
+built in it, so every fixed space here comes from root cycles.  All of it
+runs without branching on the factor kind (see :mod:`~coxorbits.groups`)
+and on integers, never on ``Scalar`` values: a vector factor's roots are
+integer lattice vectors.
 
 Whole-group queries read only the integer tables, through element ids:
 ``length_table`` and ``refl_mult_table``.  They decide "the reflection
@@ -114,18 +114,6 @@ def absolute_leq(u: GroupElement, v: GroupElement) -> bool:
     return reflection_length(u) + reflection_length(u.inverse() * v) == reflection_length(v)
 
 
-def _moved_bases(w: CoxeterGroup, comps_list: list[tuple]) -> list[tuple]:
-    """For each factor, a basis of the sum of the given elements' moved
-    spaces ``Im(g_k - 1)``, which is ``(cap Fix g_k)^perp``: its size is the
-    codimension of the common fixed space in that factor.  Only the common
-    fixed space of several elements needs it (:func:`is_parabolic`); one
-    element's comes from :func:`fixed_space`."""
-    return [
-        f.span(v for c in comps_list for v in f.moved_vectors(c[fi]))
-        for fi, f in enumerate(w.factors)
-    ]
-
-
 def fixed_space(g: GroupElement) -> tuple[int, tuple[int, ...]]:
     """The codimension of the fixed space of ``g`` and the reflections
     whose hyperplane contains it, factor by factor from one walk over the
@@ -171,15 +159,15 @@ def is_parabolic(sub: Subgroup) -> bool:
     [True, False]
     """
     w = sub.group
-    bases = _moved_bases(w, [g.comps for g in sub.generators])
-    # a reflection fixes the common fixed space when its root lies in the
-    # moved space; where that is the whole factor, every reflection does
-    fixing = frozenset(
-        w.global_reflection_id(fi, t)
-        for fi, (f, basis) in enumerate(zip(w.factors, bases))
-        for t in range(f.num_reflections)
-        if len(basis) == f.rank or f.in_span(basis, f.root_vector(t))
-    )
+    # grow one element x of the subgroup whose moved space Mov(x) is the
+    # span of the subgroup's roots: the reflections fixing Fix(x) are those
+    # with root in Mov(x), and by Carter's lemma any other t gives
+    # Mov(t x) = Mov(x) + (root of t), one dimension more
+    x, fixing = w.identity, frozenset()
+    for t in sub.reflection_ids:
+        if t not in fixing:
+            x = w.reflection(t) * x
+            fixing = frozenset(fixed_space(x)[1])
     return reflection_subgroup(w, fixing) == sub
 
 

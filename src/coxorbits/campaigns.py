@@ -332,7 +332,7 @@ def _items_min_min(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
         return report.holds == expected, {
             "holds": report.holds,
             "expected": expected,
-            "mode": report.mode,
+            "mode": "subsets",  # the one sweep: (rank+1)-subsets of T
             "counterexamples": [list(c) for c in report.counterexamples],
             "orbits_checked": report.orbits_checked,
         }

@@ -7,7 +7,7 @@ prime factors in m are the exception, and the machinery here can both find
 the counterexamples and certify their absence.
 
 One rule, ``_analyze``, decides minimal versus minimum for ``analyze_genset``
-and both modes of ``check_min_equals_min``.  Fewer than rank reflections
+and the sweep of ``check_min_equals_min``.  Fewer than rank reflections
 never generate, so a generating rank-size set is minimal and no test runs
 whose answer the rank fixes.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -125,82 +124,30 @@ class MinMinReport:
     """Verdict of the minimum-equals-minimal sweep."""
 
     group: str
-    mode: str
     holds: bool
     counterexamples: tuple[tuple[int, ...], ...]
     orbits_checked: int
 
 
-def check_min_equals_min(
-    w: CoxeterGroup, mode: str = "subsets", budget: Budget | None = None
-) -> MinMinReport:
+def check_min_equals_min(w: CoxeterGroup, budget: Budget | None = None) -> MinMinReport:
     """Whether every minimal reflection generating set has minimum size.
 
-    ``subsets`` mode sweeps the (rank+1)-subsets of T up to conjugacy: a
+    The sweep runs over the (rank+1)-subsets of T up to conjugacy: a
     counterexample is a generating subset none of whose rank-size subsets
     generates.  Subsets of size rank+1 decide the property: a larger minimal
-    generating set would contain one.  ``subgroups`` mode applies the same
-    test inside every reflection subgroup (rank relative to the subgroup),
-    which is the hereditary form used by the classification argument.
+    generating set would contain one.
     """
-    if mode == "subsets":
-        counter, checked = _min_min_subsets(w, budget)
-    elif mode == "subgroups":
-        counter, checked = _min_min_subgroups(w, budget)
-    else:
-        raise ValueError("mode must be 'subsets' or 'subgroups'")
-    return MinMinReport(
-        group=w.name,
-        mode=mode,
-        holds=not counter,
-        counterexamples=tuple(counter),
-        orbits_checked=checked,
-    )
-
-
-def _min_min_subsets(w, budget) -> tuple[list[tuple[int, ...]], int]:
     counter = []
     checked = 0
     for rep, _ in conjugacy_orbit_reps(w, w.rank + 1, budget):
         checked += 1
         if _analyze(rep, w.rank, w.generates_whole).is_minimal:
             counter.append(rep)
-    return counter, checked
-
-
-def _min_min_subgroups(w, budget) -> tuple[list[tuple[int, ...]], int]:
-    # a reflection subgroup is fixed by its reflection set and generated by
-    # at most rank reflections, so the distinct reflection closures of those
-    # subsets are the reflection subgroups; run the rank+1 test inside each
-    subgroups: set[frozenset[int]] = set()
-    for size in range(w.rank + 1):
-        for subset in itertools.combinations(range(w.num_reflections), size):
-            if budget is not None:
-                budget.charge("max_tuples")
-            subgroups.add(w.reflection_closure(subset))
-    counter = []
-    for inside in sorted(tuple(sorted(s)) for s in subgroups):
-        rank = _reflection_set_rank(w, inside)
-        gen = partial(_closes_to, w, frozenset(inside))
-        for x in itertools.combinations(inside, rank + 1):
-            if budget is not None:
-                budget.charge("max_tuples")
-            if _analyze(x, rank, gen).is_minimal:
-                counter.append(x)
-    return counter, len(subgroups)
-
-
-def _closes_to(w: CoxeterGroup, target: frozenset[int], refl_ids) -> bool:
-    """Whether the reflections generate the reflection subgroup ``target``."""
-    return w.reflection_closure(refl_ids) == target
-
-
-def _reflection_set_rank(w: CoxeterGroup, refl_ids: Iterable[int]) -> int:
-    """Dimension of the span of the reflections' root lines."""
-    located = [w.locate_reflection(t) for t in refl_ids]
-    return sum(
-        len(f.span(f.root_vector(local) for fi, local in located if fi == i))
-        for i, f in enumerate(w.factors)
+    return MinMinReport(
+        group=w.name,
+        holds=not counter,
+        counterexamples=tuple(counter),
+        orbits_checked=checked,
     )
 
 

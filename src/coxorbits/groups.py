@@ -6,17 +6,17 @@ roots as integer lattice coordinates: integers, and ``m + n*phi`` with integer
 ``m``, ``n`` on H (see :class:`VectorFactor`).  Each element is a permutation
 of the root list, so multiplication is index chasing and never touches
 coordinates.  Only the simple reflections are computed from coordinates,
-their integer actions from the simple roots' Gram matrix
-(``roots.gram_matrix``), the one ``Scalar`` arithmetic of a build; roots and
-fixed-space spans run on Python ints, and ``GroupElement.matrix`` turns
-coordinates into ``Scalar`` values at the API edge.  Every reflection is
-``s u s`` for a simple ``s`` and a reflection ``u`` nearer the simple ones,
-so every other root permutation, and every other ``refl_mult_table`` row,
-is conjugated from one already built by chasing integer indices.
+their integer actions from the Cartan integers the diagram gives
+(``roots.cartan_matrix``).  A build and every fixed space run on Python
+ints; ``GroupElement.matrix`` turns coordinates into ``Scalar`` values at
+the API edge.  Every reflection is ``s u s`` for a simple ``s`` and a
+reflection ``u`` nearer the simple ones, so every other root permutation,
+and every other ``refl_mult_table`` row, is conjugated from one already
+built by chasing integer indices.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
-element of a product holds one component per factor.  One element's fixed
-space comes from the cycles of its root permutation, and the common fixed
-space of several from one span routine per factor kind (see ``_Factor``).
+element of a product holds one component per factor.  Every fixed space
+comes from the cycles of one element's root permutation (``fixed_comp`` on
+each factor kind), with no elimination.
 
 Closures that need only the states they reach run on one layered search,
 :func:`breadth_first`: the root system, the conjugacy classes of
@@ -47,7 +47,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import accumulate, chain, zip_longest
-from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import roots
@@ -112,14 +111,6 @@ def per_group(fn: Callable) -> Callable:
     return memoized
 
 
-def _z_phi(x: Scalar) -> tuple[int, int]:
-    """The integers ``(p, q)`` with ``x = p + q*phi``, for ``x`` in Z[phi]:
-    ``x = a + b*sqrt5`` gives ``q = 2b`` and ``p = a - b``."""
-    p, q = x.a - x.b, 2 * x.b
-    assert p.denominator == q.denominator == 1, x
-    return int(p), int(q)
-
-
 def _phi_sign(m: int, n: int) -> int:
     """Exact sign of ``m + n*phi``, from ``2(m + n*phi) = a + n*sqrt5`` with
     ``a = 2m + n``: as in ``Scalar.sign``, terms of opposite signs are
@@ -131,50 +122,7 @@ def _phi_sign(m: int, n: int) -> int:
     return 1 if larger > 0 else -1
 
 
-def _echelon_row(v: Sequence[int]) -> tuple[int, Lattice]:
-    """A nonzero integer vector divided by the gcd of its entries, with the
-    index of its first nonzero entry as its lead."""
-    g = gcd(*v)
-    row = tuple(a // g for a in v)
-    return next(i for i, a in enumerate(row) if a), row
-
-
-def _reduce(basis: tuple, v: Sequence[int]) -> Sequence[int]:
-    """``v`` with the basis rows' leads cleared in order, each step
-    ``v <- p*v - c*row`` for the row's lead entry ``p`` and ``c = v[lead]``
-    (fraction-free, as in Bareiss, *Sylvester's identity and multistep
-    integer-preserving Gaussian elimination*, 1968).  Each row is zero at the
-    leads of the rows before it, so a cleared lead stays clear, and the
-    result is zero exactly when ``v`` lies in the rows' span over Q."""
-    for entry in basis:
-        for lead, row in entry:
-            c = v[lead]
-            if c:
-                p = row[lead]
-                v = [p * a - c * b for a, b in zip(v, row)]
-    return v
-
-
-class _Factor:
-    """Fixed-space geometry of each factor kind.
-
-    One element's fixed space comes from ``fixed_comp(p)``: its codimension
-    and the local ids of the reflections fixing it pointwise, with no
-    elimination.  The span routine serves only the common fixed space of
-    several elements, and the rank of several roots: ``()`` is the empty
-    basis, ``span_insert(basis, v)`` gives the new basis and whether it
-    grew, ``in_span(basis, v)`` tests membership, ``moved_vectors(p)`` spans
-    ``Im(g - 1) = Fix(g)^perp`` and ``root_vector(t)`` stands for a root."""
-
-    def span(self, vectors: Iterable) -> tuple:
-        """A basis of the span of ``vectors``."""
-        basis = ()
-        for v in vectors:
-            basis, _ = self.span_insert(basis, v)
-        return basis
-
-
-class VectorFactor(_Factor):
+class VectorFactor:
     """An irreducible factor realized by an explicit root system on integer
     lattice coordinates.
 
@@ -184,24 +132,17 @@ class VectorFactor(_Factor):
     as its integer coefficient tuple, and on H (``golden``) as the
     ``2 * rank``-tuple ``(m_1..m_r, n_1..n_r)``: integer coordinates on the
     Z-basis ``{alpha_k, phi*alpha_k}``.  The simple roots are the unit
-    vectors and open the root list.  Only the simple reflections' integer
-    actions come from the Gram matrix in :class:`Scalar` arithmetic; roots,
-    spans and fixed spaces run on Python ints, and :meth:`matrix_comp` turns
+    vectors and open the root list.  The simple reflections act by the
+    Cartan integers of ``roots.cartan_matrix``, kept as ``cartan``; roots
+    and fixed spaces run on Python ints, and :meth:`matrix_comp` turns
     coordinates into ``Scalar`` values at the API edge.
-
-    Its span basis is a fraction-free integer echelon (see ``_reduce``): a
-    tuple with one entry per dimension over Q(sqrt 5), each entry a tuple of
-    ``(lead, row)`` pairs.  On H an entry holds the rows of ``v`` and
-    ``phi*v``, so the span stays Q(sqrt 5)-linear: in H3 the roots
-    ``alpha_0``, ``alpha_1`` and ``alpha_0 + phi*alpha_1`` span a plane,
-    though their lattice coordinates are independent over Q.
     """
 
     kind = "vector"
 
     def __init__(self, ir: roots.IrreducibleDatum):
         self.rank = ir.rank
-        self.form = roots.gram_matrix(ir)
+        self.cartan = roots.cartan_matrix(ir)
         self.golden = ir.family == "H"
         self.roots, images = self._close()
         self.root_index = {v: i for i, v in enumerate(self.roots)}
@@ -220,13 +161,11 @@ class VectorFactor(_Factor):
         ``sum(c * v[j] for j, c in terms)`` from coordinate ``k`` of ``v``.
 
         ``s_i(v) = v - <v, alpha_i^vee> alpha_i`` moves only the coefficient
-        of ``alpha_i``, by the Cartan entries ``<alpha_j, alpha_i^vee> =
-        2 G_ji / G_ii`` of the Gram matrix ``G``.  They are integers, and
-        ``p + q*phi`` with integer ``p``, ``q`` on H, where
+        of ``alpha_i``, by the Cartan entries ``<alpha_j, alpha_i^vee>``, the
+        pairs ``(p, q)`` of column ``i`` of ``cartan``: ``p + q*phi``, where
         ``(m + n*phi)(p + q*phi) = (mp + nq) + (mq + np + nq)*phi``."""
         r = self.rank
-        g = self.form.rows
-        cartan = [_z_phi(Scalar.from_int(2) * g[j][i] / g[i][i]) for j in range(r)]
+        cartan = [row[i] for row in self.cartan]
         if self.golden:
             covectors = [
                 (i, [p for p, _ in cartan] + [q for _, q in cartan]),
@@ -374,32 +313,6 @@ class VectorFactor(_Factor):
         assert not rest, (num, den)
         return rank - dim, fixing
 
-    def moved_vectors(self, p: Comp) -> list[Lattice]:
-        """The nonzero ``g(alpha_i) - alpha_i`` over the simple roots."""
-        roots = self.roots
-        return [
-            tuple(a - b for a, b in zip(roots[p[i]], roots[i]))
-            for i in range(self.rank)
-            if p[i] != i
-        ]
-
-    def span_insert(self, basis: tuple, v: Lattice) -> tuple[tuple, bool]:
-        v = _reduce(basis, v)
-        if not any(v):
-            return basis, False
-        entry = (_echelon_row(v),)
-        if self.golden:
-            # phi (m + n phi) = n + (m + n) phi
-            r = self.rank
-            phi_v = (*v[r:], *(m + n for m, n in zip(v[:r], v[r:])))
-            entry += (_echelon_row(_reduce(basis + (entry,), phi_v)),)
-        return basis + (entry,), True
-
-    def in_span(self, basis: tuple, v: Lattice) -> bool:
-        # the span over Q of an H basis's rows is closed under phi, so it is
-        # the span over Q(sqrt 5)
-        return not any(_reduce(basis, v))
-
     def scalar_vector(self, v: Lattice) -> Vector:
         """The coefficients of a lattice vector on the simple roots, as
         :class:`Scalar` values: ``m_k + n_k*phi`` on H."""
@@ -420,13 +333,12 @@ class VectorFactor(_Factor):
         return self.roots[self.positive_roots[t]]
 
 
-class DihedralFactor(_Factor):
+class DihedralFactor:
     """The dihedral group I2(m), handled without coordinates.
 
     Components are pairs ``(a, f)``: the rotation by ``2*pi*a/m`` when
     ``f == 0``, and the reflection whose line has angle ``pi*a/m`` when
-    ``f == 1``.  Lines stand in for roots in the span routine: a basis is a
-    tuple of at most two distinct lines, and two lines span the plane.
+    ``f == 1``.  Its fixed spaces need no roots: see :meth:`fixed_comp`.
     """
 
     kind = "dihedral"
@@ -467,24 +379,6 @@ class DihedralFactor(_Factor):
         if f:
             return 1, (a,)
         return (2, range(self.m)) if a else (0, ())
-
-    def moved_vectors(self, p: Comp) -> list[int]:
-        """A flip moves its line, a nontrivial rotation the whole plane."""
-        a, f = p
-        if f:
-            return [a]
-        return [] if a == 0 else [0, 1]
-
-    def span_insert(self, basis: tuple, line: int) -> tuple[tuple, bool]:
-        if line in basis or len(basis) == 2:
-            return basis, False
-        return basis + (line,), True
-
-    def in_span(self, basis: tuple, line: int) -> bool:
-        return len(basis) == 2 or line in basis
-
-    def root_vector(self, t: int) -> int:
-        return t
 
 
 Factor = Union[VectorFactor, DihedralFactor]

@@ -7,11 +7,11 @@ small; kernels come from an exact reduced row echelon form.  There are no
 tolerances: a pivot is nonzero or it is not.
 
 The package itself uses only the :class:`Matrix` type here
-(``GroupElement.matrix``, the Gram matrix of a root system); its roots and
-fixed-space geometry run on integer lattice coordinates in the factors'
-span routines instead (see :mod:`~coxorbits.groups`).  The tests build
-their fixed-space oracles (codimension, containment) on the rank and kernel
-routines here.
+(``GroupElement.matrix``); its roots and fixed-space geometry run on integer
+lattice coordinates, from the cycles of root permutations (see
+:mod:`~coxorbits.groups`).  The tests build their fixed-space oracles
+(codimension, containment, the reflections fixing a common fixed space) and
+their Gram route to the Cartan integers on the routines here.
 """
 from __future__ import annotations
 

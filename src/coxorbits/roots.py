@@ -9,25 +9,20 @@ A group is named by a product label such as ``"A3"``, ``"I2(30)"`` or
 * ``I2(m>=3)``, handled combinatorially (no coordinates needed).
 
 Every family but the dihedral one is realized the same way: the simple roots
-are the unit vectors, and the bilinear form is their Gram matrix
-``(alpha_i, alpha_j)``, which ``gram_matrix`` builds from the family's
-diagram bonds and root norms (the geometric representation, Humphreys,
-*Reflection Groups and Coxeter Groups*, 5.3).  Every root is then written by
-its exact coefficients on the simple roots.
+are the unit vectors, and each simple reflection acts by the family's Cartan
+integers, which ``cartan_matrix`` reads from the diagram bonds and the long
+and short roots (the geometric representation, Humphreys, *Reflection Groups
+and Coxeter Groups*, 5.3).  Every root is then written by its exact
+coefficients on the simple roots, integers or ``p + q*phi``, so building a
+root system needs no ``Scalar`` arithmetic.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .errors import ParseError
-from .linalg import Matrix
-from .scalars import HALF, Scalar
-
-_ZERO = Scalar.zero()
-_ONE = Scalar.one()
 
 _FACTOR_RE = re.compile(r"([ABDEFH])(\d+)|I2\((\d+)\)")
 
@@ -134,17 +129,19 @@ def census(datum: CoxeterDatum) -> tuple[int, int]:
     return order, nrefl
 
 
-def gram_matrix(ir: IrreducibleDatum) -> Matrix:
-    """The Gram matrix ``(alpha_i, alpha_j)`` of a vector family's simple
-    roots, from its diagram bonds and root norms.
+def cartan_matrix(ir: IrreducibleDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Cartan integers ``<alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) /
+    (alpha_j, alpha_j)`` of a vector family's simple roots, at ``[i][j]``,
+    read from its diagram: each is the pair ``(p, q)`` standing for
+    ``p + q*phi``.
 
-    Long roots have norm 2 and short roots norm 1; all of H's roots are
-    short.  Bonded roots of norms ``a`` and ``b`` whose reflections have
-    product of order ``m`` meet in ``-sqrt(a*b)*cos(pi/m)``.  For every
-    bond of A, B, D, E and F that is ``-max(a, b)/2``: ``-1`` between long
-    roots and across the double bond of B and F, ``-1/2`` between short
-    roots.  H's simple bonds are ``-1/2`` too, and its five-fold bond is
-    ``-cos(pi/5)``.
+    The diagonal is ``2``, a simple bond gives ``-1`` both ways, and
+    unbonded roots are orthogonal.  Across the double bond of B and F the
+    long root's row holds ``-2`` in the short root's column, and the short
+    root's row ``-1`` in the long root's; B's last root and F's last two
+    are the short ones.  Across H's five-fold bond both entries are
+    ``-phi``, the pair ``(0, -1)``: its roots meet at ``-cos(pi/5) =
+    -phi/2`` with unit norm.
     """
     family, n = ir.family, ir.rank
     bonds = [(k, k + 1) for k in range(n - 1)]
@@ -154,17 +151,15 @@ def gram_matrix(ir: IrreducibleDatum) -> Matrix:
         bonds = [(0, 2), (1, 3)] + bonds[2:]
     elif family not in ("A", "B", "F", "H"):
         raise ValueError(f"no vector realization for family {family!r}")
-    norms = [_ONE if family == "H" else Scalar.from_int(2)] * n
-    if family == "B":
-        norms[-1] = _ONE
-    elif family == "F":
-        norms[2:] = [_ONE, _ONE]
-    entries = {(i, i): a for i, a in enumerate(norms)}
+    entries = {(i, i): (2, 0) for i in range(n)}
     for i, j in bonds:
-        entries[i, j] = entries[j, i] = -max(norms[i], norms[j]) * HALF
-    if family == "H":
-        cos_pi_5 = Scalar(Fraction(1, 4), Fraction(1, 4))  # (1 + sqrt5)/4
-        entries[0, 1] = entries[1, 0] = -cos_pi_5
-    return Matrix(
-        tuple(tuple(entries.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+        entries[i, j] = entries[j, i] = (-1, 0)
+    if family == "B":
+        entries[n - 2, n - 1] = (-2, 0)
+    elif family == "F":
+        entries[1, 2] = (-2, 0)
+    elif family == "H":
+        entries[0, 1] = entries[1, 0] = (0, -1)
+    return tuple(
+        tuple(entries.get((i, j), (0, 0)) for j in range(n)) for i in range(n)
     )

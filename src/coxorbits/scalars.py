@@ -4,11 +4,10 @@ A :class:`Scalar` is a number ``a + b*sqrt(5)`` with rational ``a`` and ``b``
 held as :class:`fractions.Fraction`.  The field contains the golden ratio,
 which is all that is needed to realize the non-crystallographic reflection
 groups exactly; the crystallographic ones only ever use ``b = 0``.  The
-package uses it for the Gram matrices of the simple roots, from which each
-simple reflection's integer action is derived, and for the matrices of
-``GroupElement.matrix``.  Roots and fixed-space geometry run on integer
-lattice coordinates instead (see :mod:`~coxorbits.groups`).  No floating
-point appears anywhere.
+package uses it only for the matrices of ``GroupElement.matrix``: a build,
+roots and fixed-space geometry run on integer lattice coordinates (see
+:mod:`~coxorbits.groups`).  The tests build their ``Scalar`` oracles on it.
+No floating point appears anywhere.
 
 Comparisons are decided exactly by a sign analysis of ``a**2 - 5*b**2``, never
 by numeric approximation.
@@ -174,7 +173,8 @@ _ZERO = Scalar()
 _ONE = Scalar(1)
 _SQRT5 = Scalar(0, 1)
 
-#: One half, the cosine of pi/3 that a simple bond carries in a Gram matrix.
+#: One half, the cosine of pi/3 that a simple bond carries in a Gram matrix
+#: (the tests' Gram route to the Cartan integers).
 HALF = Scalar(Fraction(1, 2))
 
 #: The golden ratio (1 + sqrt 5)/2, the fundamental unit of the field.

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -5,8 +6,8 @@ import pytest
 
 from coxorbits.groups import build_group
 from coxorbits.linalg import Matrix, kernel_basis, rank
-from coxorbits.roots import IrreducibleDatum, gram_matrix
-from coxorbits.scalars import Scalar
+from coxorbits.roots import IrreducibleDatum
+from coxorbits.scalars import HALF, Scalar
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +92,46 @@ def element_closure(w, gens) -> frozenset:
     return frozenset(found)
 
 
+@lru_cache(maxsize=None)
+def gram_matrix(ir: IrreducibleDatum) -> Matrix:
+    """Oracle for the form behind a vector family's Cartan integers: the
+    Gram matrix ``(alpha_i, alpha_j)`` of its simple roots, in ``Scalar``
+    arithmetic from the diagram bonds and root norms, so that
+    ``<alpha_i, alpha_j^vee> = 2 G_ij / G_jj``.
+
+    Long roots have norm 2 and short roots norm 1; all of H's roots are
+    short.  Bonded roots of norms ``a`` and ``b`` whose reflections have
+    product of order ``m`` meet in ``-sqrt(a*b)*cos(pi/m)``.  For every
+    bond of A, B, D, E and F that is ``-max(a, b)/2``: ``-1`` between long
+    roots and across the double bond of B and F, ``-1/2`` between short
+    roots.  H's simple bonds are ``-1/2`` too, and its five-fold bond is
+    ``-cos(pi/5)``.
+    """
+    family, n = ir.family, ir.rank
+    bonds = [(k, k + 1) for k in range(n - 1)]
+    if family == "D":
+        bonds[-1] = (n - 3, n - 1)
+    elif family == "E":
+        bonds = [(0, 2), (1, 3)] + bonds[2:]
+    norms = [Scalar.one() if family == "H" else Scalar.from_int(2)] * n
+    if family == "B":
+        norms[-1] = Scalar.one()
+    elif family == "F":
+        norms[2:] = [Scalar.one(), Scalar.one()]
+    entries = {(i, i): a for i, a in enumerate(norms)}
+    for i, j in bonds:
+        entries[i, j] = entries[j, i] = -max(norms[i], norms[j]) * HALF
+    if family == "H":
+        cos_pi_5 = Scalar(Fraction(1, 4), Fraction(1, 4))  # (1 + sqrt5)/4
+        entries[0, 1] = entries[1, 0] = -cos_pi_5
+    return Matrix(
+        tuple(
+            tuple(entries.get((i, j), Scalar.zero()) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
 def scalar_reflection(form: Matrix, alpha: tuple) -> Callable[[tuple], tuple]:
     """The reflection ``v -> v - <v, alpha^vee> alpha`` of ``Scalar``
     coordinate vectors, with ``alpha^vee = 2 F alpha / (alpha, F alpha)``
@@ -110,7 +151,7 @@ def scalar_reflection(form: Matrix, alpha: tuple) -> Callable[[tuple], tuple]:
 def scalar_root_system(ir: IrreducibleDatum) -> tuple[tuple, tuple, tuple]:
     """Oracle for a vector factor's root list, independent of its integer
     lattice: the closure of the simple roots (the unit vectors) under the
-    simple reflections, in ``Scalar`` coordinates on ``roots.gram_matrix``.
+    simple reflections, in ``Scalar`` coordinates on :func:`gram_matrix`.
     Breadth first, each layer's new roots in order of (root, simple
     reflection), so the list order is the one the package must keep.
 
@@ -140,14 +181,14 @@ def scalar_root_system(ir: IrreducibleDatum) -> tuple[tuple, tuple, tuple]:
     return tuple(found), positive, neg_of
 
 
-def geometric_reflection_perm(f, t: int) -> tuple[int, ...]:
-    """Oracle for a vector factor's reflection permutation: the image of
-    each root under ``s_alpha`` (see :func:`scalar_reflection`), computed in
-    ``Scalar`` arithmetic for every root, on the roots' ``Scalar``
-    coordinates."""
+def geometric_reflection_perm(ir: IrreducibleDatum, f, t: int) -> tuple[int, ...]:
+    """Oracle for the reflection permutation of the vector factor ``f``
+    realizing ``ir``: the image of each root under ``s_alpha`` (see
+    :func:`scalar_reflection`), computed in ``Scalar`` arithmetic for every
+    root, on the roots' ``Scalar`` coordinates."""
     roots = [f.scalar_vector(v) for v in f.roots]
     index = {v: i for i, v in enumerate(roots)}
-    reflect = scalar_reflection(f.form, f.scalar_vector(f.root_vector(t)))
+    reflect = scalar_reflection(gram_matrix(ir), f.scalar_vector(f.root_vector(t)))
     return tuple(index[reflect(v)] for v in roots)
 
 
@@ -177,7 +218,8 @@ def brute_reduced_factorizations(g, k: int) -> list[tuple[int, ...]]:
 
 def fixed_space_codim(m: Matrix) -> int:
     """Oracle for reflection length: ``rank(M - I)`` of the ambient matrix,
-    by Bareiss elimination rather than the factors' span routine."""
+    by Bareiss elimination on ``Scalar`` entries rather than the factors'
+    root cycles."""
     if m.n_rows != m.n_cols:
         raise ValueError("fixed_space_codim needs a square matrix")
     return rank(m - Matrix.identity(m.n_rows))
@@ -194,5 +236,12 @@ def kernel_contains(m: Matrix, n: Matrix) -> bool:
 
 def kills(diff: Matrix, basis: list) -> bool:
     """:func:`kernel_contains`'s rule on a difference ``M - I`` and a kernel
-    basis of ``N - I`` computed once, for callers that test many pairs."""
-    return all(not any(diff.apply(v)) for v in basis)
+    basis of ``N - I`` computed once, for callers that test many pairs.
+    Each row meets each basis vector in a dot product that skips the zero
+    entries, which most rows of a reflection's ``M - I`` are."""
+    zero = Scalar.zero()
+    return all(
+        not sum((a * x for a, x in zip(row, v) if a and x), zero)
+        for v in basis
+        for row in diff.rows
+    )

@@ -2,7 +2,8 @@
 quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
-* fixed spaces: the root-cycle route vs the span route (elimination),
+* fixed spaces: the root-cycle route vs ``Scalar`` elimination (kernels
+  of ``g - 1``, and the moved span on a dihedral factor),
 * reduced factorizations: pruned search vs brute-force product filtering,
 * the factorization walker: empty at impossible lengths, raising at a
   negative one, equal to the enumeration and to product filtering
@@ -12,6 +13,8 @@ quasi-Coxeter classifiers, checked against independent oracles:
 * the walk's size: its code count and ``max_tuples`` charge equal what
   the walker yields and charges,
 * parabolic closure membership vs fixed-space containment of matrices,
+* parabolicity of a subgroup vs the reflections fixing its generators'
+  common fixed space, found by ``Scalar`` elimination,
 * below-a-quasi-Coxeter-element and whole parabolic closure vs their
   definitions (absolute order, element closures),
 * full factorization codes and the full reflection length vs the
@@ -30,6 +33,7 @@ quasi-Coxeter classifiers, checked against independent oracles:
 import itertools
 import random
 from collections import defaultdict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,7 @@ from conftest import (
     bfs_length_table,
     brute_reduced_factorizations,
     cached_group,
+    gram_matrix,
     kills,
 )
 from coxorbits import absorder, gensets
@@ -62,7 +67,12 @@ from coxorbits.absorder import (
 )
 from coxorbits.budget import Budget
 from coxorbits.errors import BadFactorization, CapExceeded, GroupMismatch
-from coxorbits.groups import DihedralFactor, VectorFactor, build_group
+from coxorbits.groups import (
+    DihedralFactor,
+    VectorFactor,
+    build_group,
+    reflection_subgroup,
+)
 from coxorbits.hurwitz import enumerate_factorizations
 from coxorbits.linalg import Matrix, kernel_basis, rank
 from coxorbits.scalars import Scalar
@@ -202,19 +212,41 @@ def test_fixed_space_on_dihedral_factors(label):
         assert absorder.fixed_space(g) == (lengths[e], lowering), (label, g)
 
 
-def span_route(g) -> tuple[int, tuple[int, ...]]:
-    """The codimension of ``Fix(g)`` and the reflections fixing it, by
-    elimination: a basis of each factor's moved space, and one span test
-    per root."""
-    w = g.group
-    bases = absorder._moved_bases(w, [g.comps])
-    fixing = tuple(
-        w.global_reflection_id(fi, t)
-        for fi, (f, basis) in enumerate(zip(w.factors, bases))
-        for t in range(f.num_reflections)
-        if f.in_span(basis, f.root_vector(t))
-    )
-    return sum(map(len, bases)), fixing
+def kernel_route(w, gens) -> tuple[int, tuple[int, ...]]:
+    """Oracle: the codimension of the common fixed space of ``gens`` and
+    the reflections fixing it, factor by factor by ``Scalar`` elimination.
+    On a vector factor that space is the kernel of the generators' stacked
+    ``g - 1`` matrices, and a reflection fixes it when its ``t - 1`` kills
+    that kernel (:func:`kills`).  A dihedral factor has no matrix: there
+    the codimension is :func:`moved_span_dim`'s, and a reflection fixes the
+    space when its line leaves that dimension unchanged."""
+    codim, fixing = 0, []
+    for fi, f in enumerate(w.factors):
+        comps = [g.comps[fi] for g in gens]
+        local = range(f.num_reflections)
+        if f.kind == "dihedral":
+            k = _dihedral_moved_dim(comps)
+            fixes = [t for t in local if _dihedral_moved_dim(comps + [(t, 1)]) == k]
+        else:
+            ident = Matrix.identity(f.rank)
+            rows = [r for c in comps for r in (f.matrix_comp(c) - ident).rows]
+            basis = kernel_basis(Matrix(tuple(rows)))
+            k = f.rank - len(basis)
+            diffs = _reflection_diffs(f)
+            fixes = [t for t in local if kills(diffs[t], basis)]
+        codim += k
+        fixing.extend(w.global_reflection_id(fi, t) for t in fixes)
+    return codim, tuple(fixing)
+
+
+@lru_cache(maxsize=None)
+def _reflection_diffs(f) -> list:
+    """For every reflection ``t`` of the vector factor ``f``, the first
+    nonzero row of ``t - 1``, as a one-row matrix.  ``t - 1`` has rank one,
+    so it kills what that row kills."""
+    ident = Matrix.identity(f.rank)
+    diffs = [f.matrix_comp(f.refl_comp(t)) - ident for t in range(f.num_reflections)]
+    return [Matrix((next(row for row in d.rows if any(row)),)) for d in diffs]
 
 
 @pytest.mark.parametrize(
@@ -222,9 +254,10 @@ def span_route(g) -> tuple[int, tuple[int, ...]]:
     ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(8)", "E7", "E8", "H4"],
 )
 def test_fixed_space_matches_span_route(label):
-    """The cycle route of ``fixed_space`` against the span route, on every
-    element, and on seeded random words in the reflections on E7, E8 and
-    H4, whose element tables are refused or slow to build."""
+    """The cycle route of ``fixed_space`` against the ``Scalar`` kernel
+    route (:func:`kernel_route`), on every element, and on seeded random
+    words in the reflections on E7, E8 and H4, whose element tables are
+    refused or slow to build."""
     w = cached_group(label)
     if label in ("E7", "E8", "H4"):
         rng = random.Random(f"fixed-{label}")
@@ -237,22 +270,22 @@ def test_fixed_space_matches_span_route(label):
     else:
         elements = w.elements()
     for g in elements:
-        assert absorder.fixed_space(g) == span_route(g), (label, g)
+        assert absorder.fixed_space(g) == kernel_route(w, [g]), (label, g)
 
 
 def test_classify_element_reads_only_the_tables(monkeypatch):
     """Once the length and multiplication tables exist, classification
-    never enters the fixed-space span routine of either factor kind."""
+    never reads a fixed space on either factor kind."""
     groups = [cached_group("B3"), cached_group("I2(6)")]
     for w in groups:
         absorder.length_table(w)
         w.refl_mult_table
 
     def refuse(*args):
-        raise AssertionError("span routine entered")
+        raise AssertionError("fixed space read")
 
-    monkeypatch.setattr(VectorFactor, "span_insert", refuse)
-    monkeypatch.setattr(DihedralFactor, "span_insert", refuse)
+    monkeypatch.setattr(VectorFactor, "fixed_comp", refuse)
+    monkeypatch.setattr(DihedralFactor, "fixed_comp", refuse)
     for w in groups:
         for g in w.elements():
             pqc = classify_element(g).is_parabolic_quasi_coxeter
@@ -260,9 +293,9 @@ def test_classify_element_reads_only_the_tables(monkeypatch):
 
 
 def test_fixed_space_geometry_runs_on_integers(monkeypatch):
-    """Once the groups are built, lengths, fixing reflections, parabolicity
-    and the rank of a reflection set create no ``Scalar``: the span routine
-    runs on integer lattice coordinates."""
+    """Once the groups are built, lengths, fixing reflections and
+    parabolicity create no ``Scalar``: fixed spaces are read from root
+    cycles on integer lattice coordinates."""
     groups = [cached_group(label) for label in ["B3", "H3", "D4", "A2xI2(5)"]]
     for w in groups:
         w.elements()
@@ -276,7 +309,6 @@ def test_fixed_space_geometry_runs_on_integers(monkeypatch):
             absorder.reflection_length(g)
             fixing = absorder.reflections_fixing(g)
             is_parabolic(w.closure([w.reflection(t) for t in fixing]))
-            gensets._reflection_set_rank(w, fixing)
 
 
 # -- parabolic closures ----------------------------------------------------
@@ -353,8 +385,10 @@ def test_coordinate_flips_of_b3_not_parabolic():
     # roots: the coordinate flips e_i are B3's short roots, of norm 1
     f = b3.factors[0]
 
+    form = gram_matrix(b3.datum.factors[0])
+
     def norm(v):
-        return sum((a * b for a, b in zip(v, f.form.apply(v))), Scalar.zero())
+        return sum((a * b for a, b in zip(v, form.apply(v))), Scalar.zero())
 
     coord = [
         t
@@ -368,6 +402,36 @@ def test_coordinate_flips_of_b3_not_parabolic():
     # but it contains -1 whose closure is all of B3
     minus = [g for g in sub.elements if reflection_length(g) == 3]
     assert any(parabolic_closure(g).is_whole_group for g in minus)
+
+
+@pytest.mark.parametrize(
+    "label", ["B2", "A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(8)"]
+)
+def test_is_parabolic_matches_kernel_oracle(label):
+    """``is_parabolic`` against its definition by ``Scalar`` elimination:
+    the reflections fixing the generators' common fixed space
+    (:func:`kernel_route`) generate the subgroup.  On seeded random
+    reflection subsets, and on the cyclic subgroups of random elements that
+    are neither the identity nor a reflection, which no reflections
+    generate."""
+    w = cached_group(label)
+    rng = random.Random(f"parabolic-{label}")
+    subgroups = []
+    for _ in range(40):
+        size = rng.randint(1, w.rank + 1)
+        refls = rng.sample(range(w.num_reflections), size)
+        subgroups.append(w.closure([w.reflection(t) for t in refls]))
+    reflections = {w.reflection(t) for t in w.reflection_ids()}
+    others = [g for g in w.elements() if not g.is_identity and g not in reflections]
+    cyclic = [w.closure([g]) for g in rng.sample(others, min(10, len(others)))]
+    verdicts = []
+    for sub in subgroups + cyclic:
+        _, fixing = kernel_route(w, list(sub.generators))
+        expected = reflection_subgroup(w, frozenset(fixing)) == sub
+        assert is_parabolic(sub) == expected, (label, sub.generators)
+        verdicts.append(expected)
+    assert not any(verdicts[len(subgroups):])
+    assert True in verdicts
 
 
 def test_parabolics_closed_under_intersection_sample():
@@ -856,9 +920,7 @@ def moved_span_dim(w, elements) -> int:
     for fi, f in enumerate(w.factors):
         comps = {x.comps[fi] for x in elements}
         if f.kind == "dihedral":
-            lines = {a for a, flip in comps if flip}
-            rotates = any(a and not flip for a, flip in comps)
-            dim += 2 if rotates else min(2, len(lines))
+            dim += _dihedral_moved_dim(comps)
         else:
             ident = Matrix.identity(f.rank)
             columns = [
@@ -866,6 +928,13 @@ def moved_span_dim(w, elements) -> int:
             ]
             dim += rank(Matrix.from_columns(columns)) if columns else 0
     return dim
+
+
+def _dihedral_moved_dim(comps) -> int:
+    """:func:`moved_span_dim` on a dihedral factor, for its components."""
+    lines = {a for a, flip in comps if flip}
+    rotates = any(a and not flip for a, flip in comps)
+    return 2 if rotates else min(2, len(lines))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "B2xA1", "I2(6)"])

@@ -266,19 +266,6 @@ def test_counterexamples_have_three_prime_profile():
         assert gcd(gcd(profile[0], profile[1]), profile[2]) == 1
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "I2(12)", "I2(30)"])
-def test_subgroup_sweep_mode_agrees(label):
-    w = cached_group(label)
-    subsets = check_min_equals_min(w, mode="subsets")
-    subgroups = check_min_equals_min(w, mode="subgroups")
-    assert subsets.holds == subgroups.holds
-
-
-def test_min_min_bad_mode():
-    with pytest.raises(ValueError):
-        check_min_equals_min(cached_group("A2"), mode="everything")
-
-
 # -- dihedral triples ------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from conftest import (
     element_closure,
     fixed_space_codim,
     geometric_reflection_perm,
+    gram_matrix,
     scalar_reflection,
     scalar_root_system,
 )
@@ -35,7 +36,7 @@ from coxorbits.groups import (
     reflection_subgroup,
 )
 from coxorbits.linalg import Matrix, rank
-from coxorbits.roots import IrreducibleDatum, census, parse_datum
+from coxorbits.roots import IrreducibleDatum, cartan_matrix, census, parse_datum
 from coxorbits.scalars import PHI, Scalar
 
 
@@ -135,7 +136,7 @@ def test_lattice_roots_match_scalar_closure(label):
         # others are checked by test_reflection_perms_match_geometry
         index = {v: i for i, v in enumerate(roots)}
         for t, alpha in enumerate(positive[: f.rank]):
-            reflect = scalar_reflection(f.form, roots[alpha])
+            reflect = scalar_reflection(gram_matrix(ir), roots[alpha])
             assert f.refl_comp(t) == tuple(index[reflect(v)] for v in roots)
 
 
@@ -189,42 +190,43 @@ def test_reflection_fixes_its_root_line_only_in_h3():
         p = f.refl_comp(t)
         idx = f.positive_roots[t]
         assert p[idx] == f.neg_of[idx]
-        assert len(f.span(f.moved_vectors(p))) == 1
+        assert f.fixed_comp(p) == (1, [t])
+        assert fixed_space_codim(f.matrix_comp(p)) == 1
 
 
-@pytest.mark.parametrize("label", ["H3", "F4", "E6", "H4"])
-def test_span_routine_matches_bareiss_rank(label):
-    f = VectorFactor(parse_datum(label).factors[0])
-    rng = random.Random(f"span-{label}")
-    roots = [f.scalar_vector(f.root_vector(t)) for t in range(f.num_reflections)]
+_CARTAN_LABELS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+)
 
-    def check(vectors):
-        basis, grown = (), 0
-        for v in vectors:
-            basis, grew = f.span_insert(basis, v)
-            grown += grew
-        columns = [f.scalar_vector(v) for v in vectors]
-        assert grown == len(basis) == rank(Matrix.from_columns(columns))
-        for t, v in enumerate(roots):
-            same = rank(Matrix.from_columns(columns + [v])) == grown
-            assert f.in_span(basis, f.root_vector(t)) == same
-        return basis
 
-    if label == "H3":
-        # alpha_0, alpha_1 and alpha_0 + phi alpha_1 span a plane over
-        # Q(sqrt 5), though their lattice coordinates are independent over Q
-        assert f.scalar_vector(f.roots[4]) == (Scalar.one(), PHI, Scalar.zero())
-        assert len(check([f.roots[0], f.roots[1], f.roots[4]])) == 2
-        assert f.in_span(check([f.roots[0], f.roots[1]]), f.roots[4])
-    for _ in range(8):
-        chosen = rng.sample(range(f.num_reflections), rng.randint(1, f.rank + 1))
-        check([f.root_vector(t) for t in chosen])
-    # the moved spaces of random elements, words in the reflections
-    for _ in range(8):
-        p = f.identity_comp()
-        for _ in range(rng.randint(1, 2 * f.rank)):
-            p = f.mult_comp(p, f.refl_comp(rng.randrange(f.num_reflections)))
-        check(f.moved_vectors(p))
+@pytest.mark.parametrize("label", _CARTAN_LABELS)
+def test_cartan_integers_match_the_gram_route(label):
+    """The diagram's Cartan integers, as pairs ``(p, q)`` for
+    ``p + q*phi``, against ``2 G_ij / G_jj`` of the ``Scalar`` Gram matrix."""
+    ir = parse_datum(label).factors[0]
+    g = gram_matrix(ir).rows
+    two = Scalar.from_int(2)
+    for i, row in enumerate(cartan_matrix(ir)):
+        for j, (p, q) in enumerate(row):
+            expected = two * g[i][j] / g[j][j]
+            assert Scalar.from_int(p) + Scalar.from_int(q) * PHI == expected, (i, j)
+
+
+@pytest.mark.parametrize(
+    "label", ["A3", "B3", "D5", "F4", "H3", "H4", "E8", "A2xI2(5)"]
+)
+def test_build_creates_no_scalar(label, monkeypatch):
+    """A build, root system and every reflection included, runs on
+    integers: the Cartan integers come from the diagram."""
+
+    def refuse(*args):
+        raise AssertionError("Scalar created")
+
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    assert build_group(label).num_reflections == census(parse_datum(label))[1]
 
 
 # -- group arithmetic ------------------------------------------------------
@@ -746,7 +748,8 @@ def test_reflection_perms_match_geometry(label, step):
         fi, local = w.locate_reflection(t)
         f = w.factors[fi]
         assert w.reflection(t).comps[fi] == f.refl_comp(local)
-        assert f.refl_comp(local) == geometric_reflection_perm(f, local), (label, t)
+        ir = w.datum.factors[fi]
+        assert f.refl_comp(local) == geometric_reflection_perm(ir, f, local), (label, t)
 
 
 @pytest.mark.parametrize("label", ["B3", "H3", "F4", "A2xI2(5)"])
