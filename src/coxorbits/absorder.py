@@ -9,6 +9,8 @@ fixing the fixed space from one walk over the cycles of each factor's
 component, with no elimination: the mean of the powers of ``g`` projects
 onto ``Fix(g)``, so a reflection fixes ``Fix(g)`` exactly when its root's
 cycle sums to zero, and ``dim Fix(g)`` is the trace of that projection.
+Each cycle's sum is one integer, over packed root coordinates whose fields
+are wide enough that it is zero exactly when every coordinate sum is.
 Absolute order is ``u <= v  iff  l(u) + l(u^-1 v) = l(v)``.  The fixed
 space of a reflection subgroup (:func:`is_parabolic`) is that of one element
 built in it, so every fixed space here comes from root cycles.  All of it
@@ -129,7 +131,8 @@ def fixed_space(g: GroupElement) -> tuple[int, tuple[int, ...]]:
     for fi, (f, c) in enumerate(zip(w.factors, g.comps)):
         k, local = f.fixed_comp(c)
         codim += k
-        fixing.extend(w.global_reflection_id(fi, t) for t in local)
+        offset = w.global_reflection_id(fi, 0)
+        fixing.extend([offset + t for t in local])
     return codim, tuple(fixing)
 
 

@@ -16,7 +16,9 @@ built by chasing integer indices.
 Dihedral factors ``I2(m)`` represent elements as (rotation, flip) pairs.  An
 element of a product holds one component per factor.  Every fixed space
 comes from the cycles of one element's root permutation (``fixed_comp`` on
-each factor kind), with no elimination.
+each factor kind), with no elimination: a vector factor packs each root's
+coordinates into one integer, so a cycle's sum, and its zero test, is one
+integer sum.
 
 Closures that need only the states they reach run on one layered search,
 :func:`breadth_first`: the root system, the conjugacy classes of
@@ -152,6 +154,7 @@ class VectorFactor:
         self._classify_roots()
         self.num_reflections = len(self.positive_roots)
         self._refl_perms = self._reflection_perms(images)
+        self._pack_roots()
 
     # -- construction ------------------------------------------------------
 
@@ -240,6 +243,26 @@ class VectorFactor:
         assert self.positive_roots[: self.rank] == tuple(range(self.rank))
         self.simple_refl_local = tuple(range(self.rank))
 
+    def _pack_roots(self) -> None:
+        """Each root's coordinates ``c_i`` packed into one integer
+        ``sum(c_i << (bits * i))``, so that adding packed roots adds their
+        coordinates field by field (see :meth:`fixed_comp`)."""
+        top = max(abs(c) for v in self.roots for c in v)
+        self._bits = bits = (len(self.roots) * top).bit_length() + 2
+        half = 1 << (bits - 1)
+        self._bias = sum(half << (bits * i) for i in range(len(self.roots[0])))
+        self._packed = tuple(
+            sum(c << (bits * i) for i, c in enumerate(v)) for v in self.roots
+        )
+
+    def _field(self, packed: int, i: int) -> int:
+        """Coordinate ``i`` of a sum of at most ``len(roots)`` packed roots:
+        bias every field by ``2**(bits - 1)``, so that each is nonnegative,
+        cut field ``i`` out and take the bias off again."""
+        bits = self._bits
+        half = 1 << (bits - 1)
+        return (((packed + self._bias) >> (bits * i)) & (2 * half - 1)) - half
+
     # -- element components ------------------------------------------------
 
     def identity_comp(self) -> Comp:
@@ -282,8 +305,18 @@ class VectorFactor:
         the ``alpha_i``-coefficient of their cycle's mean.  That trace is
         rational, so on H its ``phi``-part vanishes and the coordinates
         ``m_i`` alone give it, as ``num / den``.
+
+        A cycle is summed as one integer, the sum of its roots' packed
+        coordinates (``_pack_roots``), fields of ``bits`` bits each.  The
+        width holds ``len(roots) * max|c|`` with two bits to spare, and a
+        cycle has at most ``len(roots)`` members, so every coordinate of a
+        cycle sum lies below ``2**(bits - 1)`` in absolute value.  Digits in
+        that balanced range are unique in base ``2**bits``, so the packed sum
+        is ``0`` exactly when every coordinate sum is: the zero test is
+        exact.  Only a nonzero cycle through a simple root feeds the trace,
+        and its coordinates are read back field by field (``_field``).
         """
-        roots, rank = self.roots, self.rank
+        packed, rank = self._packed, self.rank
         zero_sum: list[bool | None] = [None] * len(p)
         num, den = 0, 1
         fixing = []
@@ -294,18 +327,19 @@ class VectorFactor:
                 continue
             if zero_sum[k] is None:
                 cycle = [k]
+                total = packed[k]
                 x = p[k]
                 while x != k:
                     cycle.append(x)
+                    total += packed[x]
                     x = p[x]
-                total = [sum(c) for c in zip(*[roots[x] for x in cycle])]
-                zero = not any(total)
+                zero = not total
                 for x in cycle:
                     zero_sum[x] = zero
                 if not zero and k < rank:
                     # simple roots open the positive list, so a cycle
                     # through some simple root is first walked from one
-                    simple = sum(total[x] for x in cycle if x < rank)
+                    simple = sum(self._field(total, x) for x in cycle if x < rank)
                     num, den = num * len(cycle) + den * simple, den * len(cycle)
             if zero_sum[k]:
                 fixing.append(t)
@@ -599,8 +633,12 @@ class CoxeterGroup:
         half again as slow, and the element-closure oracle stays independent.
         """
         seeds = tuple(seeds)
-        gens = seeds if gens is None else tuple(gens)
-        self.check_reflection_ids(seeds + gens)
+        self.check_reflection_ids(seeds)
+        if gens is None:
+            gens = seeds
+        else:
+            gens = tuple(gens)
+            self.check_reflection_ids(gens)
         table = self.refl_conj_table
         orbit = set(seeds)
         frontier = list(orbit)

@@ -3,7 +3,8 @@ quasi-Coxeter classifiers, checked against independent oracles:
 
 * length: geometric codimension vs breadth-first Cayley distance,
 * fixed spaces: the root-cycle route vs ``Scalar`` elimination (kernels
-  of ``g - 1``, and the moved span on a dihedral factor),
+  of ``g - 1``, and the moved span on a dihedral factor), read without
+  the integer tables,
 * reduced factorizations: pruned search vs brute-force product filtering,
 * the factorization walker: empty at impossible lengths, raising at a
   negative one, equal to the enumeration and to product filtering
@@ -249,28 +250,51 @@ def _reflection_diffs(f) -> list:
     return [Matrix((next(row for row in d.rows if any(row)),)) for d in diffs]
 
 
+def seeded_words(w, n: int, seed: str) -> list:
+    """``n`` seeded random words of up to ``2 * rank`` reflections."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(n):
+        g = w.identity
+        for _ in range(rng.randint(0, 2 * w.rank)):
+            g = g * w.reflection(rng.randrange(w.num_reflections))
+        words.append(g)
+    return words
+
+
 @pytest.mark.parametrize(
     "label",
-    ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(8)", "E7", "E8", "H4"],
+    ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(8)",
+     "D5", "E6", "E7", "E8", "H4"],
 )
 def test_fixed_space_matches_span_route(label):
     """The cycle route of ``fixed_space`` against the ``Scalar`` kernel
-    route (:func:`kernel_route`), on every element, and on seeded random
-    words in the reflections on E7, E8 and H4, whose element tables are
-    refused or slow to build."""
+    route (:func:`kernel_route`), on every element, and on 150 seeded
+    random words in the reflections on D5, E6, E7, E8 and H4, whose element
+    tables are refused, or whose elements are too many to eliminate one by
+    one."""
     w = cached_group(label)
-    if label in ("E7", "E8", "H4"):
-        rng = random.Random(f"fixed-{label}")
-        elements = []
-        for _ in range(150):
-            g = w.identity
-            for _ in range(rng.randint(0, 2 * w.rank)):
-                g = g * w.reflection(rng.randrange(w.num_reflections))
-            elements.append(g)
+    if label in ("D5", "E6", "E7", "E8", "H4"):
+        elements = seeded_words(w, 150, f"fixed-{label}")
     else:
         elements = w.elements()
     for g in elements:
         assert absorder.fixed_space(g) == kernel_route(w, [g]), (label, g)
+
+
+def test_fixed_space_reads_no_integer_table():
+    """The geometric route of the ``carter`` campaign stays independent of
+    the integer one: on fresh groups, ``fixed_space`` builds neither the
+    multiplication table nor the element numbering, and fills no per-group
+    memo (``test_classify_element_reads_only_the_tables`` guards the other
+    direction)."""
+    for label in ["B3", "H3", "D4", "E6", "E7"]:
+        w = build_group(label)
+        for g in seeded_words(w, 40, f"tables-{label}"):
+            absorder.fixed_space(g)
+        assert "refl_mult_table" not in w.__dict__, label
+        assert "_whole_group" not in w.__dict__, label
+        assert not w.memos, label
 
 
 def test_classify_element_reads_only_the_tables(monkeypatch):

@@ -215,6 +215,34 @@ def test_cartan_integers_match_the_gram_route(label):
             assert Scalar.from_int(p) + Scalar.from_int(q) * PHI == expected, (i, j)
 
 
+@pytest.mark.parametrize("label", _CARTAN_LABELS)
+def test_packed_root_sums_are_exact(label):
+    """Packed root coordinates add field by field.  The field width holds
+    ``len(roots) * max|c|`` with two bits to spare, and on seeded multisets
+    of up to ``len(roots)`` roots every field of the packed sum reads back
+    as the coordinate sum, which is zero exactly when the packed sum is.
+    The multisets include the largest coordinate taken ``len(roots)``
+    times with either sign, few distinct roots repeated, whose sums grow
+    large, and roots taken with their negatives, which sum to zero."""
+    f = cached_group(label).factors[0]
+    n, width = len(f.roots), len(f.roots[0])
+    top = max(abs(c) for v in f.roots for c in v)
+    assert n * top < 1 << (f._bits - 2)
+    extreme = next(i for i, v in enumerate(f.roots) if top in v)
+    multisets = [[extreme] * n, [f.neg_of[extreme]] * n]
+    rng = random.Random(f"pack-{label}")
+    for _ in range(60):
+        pool = rng.sample(range(n), rng.randint(1, min(4, n)))
+        multisets.append([rng.choice(pool) for _ in range(rng.randint(1, n))])
+        half = [rng.randrange(n) for _ in range(rng.randint(1, n // 2))]
+        multisets.append(half + [f.neg_of[i] for i in half])
+    for ids in multisets:
+        total = [sum(c) for c in zip(*(f.roots[i] for i in ids))]
+        packed = sum(f._packed[i] for i in ids)
+        assert [f._field(packed, i) for i in range(width)] == total, ids
+        assert (packed == 0) == (not any(total)), ids
+
+
 @pytest.mark.parametrize(
     "label", ["A3", "B3", "D5", "F4", "H3", "H4", "E8", "A2xI2(5)"]
 )
@@ -632,6 +660,10 @@ def test_reflection_closure_rejects_bad_ids():
             w.generates_whole([bad])
         with pytest.raises(IndexOutOfRange):
             w.reflection_closure([0], [bad])
+        with pytest.raises(IndexOutOfRange, match=rf"index {bad} "):
+            w.reflection_closure([0, bad, -2])
+        with pytest.raises(IndexOutOfRange, match=rf"index {bad} "):
+            w.reflection_closure([0, bad], [-2])
         with pytest.raises(IndexOutOfRange):
             w.conj_refl(bad, 0)
         with pytest.raises(IndexOutOfRange):
