@@ -22,9 +22,10 @@ Whole-group queries read only the integer tables, through element ids:
 ``length_table`` and ``refl_mult_table``.  They decide "the reflection
 ``t`` lies below ``g``" by one rule, ``l(t g) = l(g) - 1``
 (:func:`_lowering_reflections`, the reflections fixing ``Fix(g)`` by
-Carter's lemma): classification, and the cached down-set "below some
-quasi-Coxeter element", the elements reached from the quasi-Coxeter
-elements by steps that each drop the length by one.  Being (parabolic)
+Carter's lemma): classification, one closure test per Hurwitz orbit, and
+the cached down-set "below some quasi-Coxeter element", the elements
+reached from the quasi-Coxeter elements by steps that each drop the length
+by one.  Being (parabolic)
 quasi-Coxeter is a class function, so whole-group sweeps classify one
 element per conjugacy class and spread its verdict through the class table
 ``w.class_labels`` (:func:`class_filter`).  Fixed-space geometry serves the
@@ -36,11 +37,11 @@ fixed length, and full ones, whose reflection set generates W
 (:func:`full_factorization_codes`, the filter the full enumeration uses;
 Hurwitz partitions of full factorizations keep whole orbits instead).  The
 walk yields each factorization as one base-``|T|`` integer
-(:func:`encode`), which the Hurwitz layer walks directly;
-:func:`factorizations` is its tuple view.  :func:`walk_size` counts the
-walk's codes and visits without walking, by a recursion cached per group;
-the Hurwitz layer counts its ground sets with it.  The walk and its size
-share the one rule that rejects a negative length, for every view.
+(:func:`encode`); :func:`factorizations` is its tuple view, and no other
+layer walks it.  :func:`walk_size` counts the walk's codes and visits
+without walking, by a recursion cached per group; the Hurwitz layer counts
+its ground sets with it, and classification its charge.  The walk and its
+size share the one rule that rejects a negative length, for every view.
 
 The full reflection length enumerates nothing: it is a search over states
 ``(quotient, slots left, reflection closure of the factors so far)``,
@@ -229,66 +230,45 @@ def factorization_codes(
     A step ``q -> t q`` is kept exactly when ``l(t q) < remaining``: a
     reflection changes reflection length by one, so the quotient's length
     keeps the parity of the remaining slots, and a completion exists exactly
-    when it fits.  With one slot left the quotient is a reflection, which is
-    the last factor, so the last two slots of a quotient ``q`` are the
-    two-digit codes of the ``t`` with ``l(t q) = 1``, listed once per ``q``.
-    Nothing is yielded when ``length < l(g)`` or ``length - l(g)`` is odd,
-    and a negative length raises :class:`BadFactorization`.
+    when it fits.  Nothing is yielded when ``length < l(g)`` or
+    ``length - l(g)`` is odd, and a negative length raises
+    :class:`BadFactorization`.
 
     The walk is depth first over paths, not states, so it does not run on
     ``groups.breadth_first``; an explicit stack keeps it free of a
-    generator frame per node.  Each node and each leaf charges
-    ``max_tuples`` with ``|T|``, in depth-first order; :func:`walk_size`
-    counts both without walking.
+    generator frame per node.  Each node but a leaf charges ``max_tuples``
+    with ``|T|``, in depth-first order; :func:`walk_size` counts the codes
+    and visits without walking.
     """
     w = g.group
     start, n = _walk_root(g, length)
     lengths = length_table(w)
-    mult = w.refl_mult_table
     n_refl = w.num_reflections
     if n < lengths[start] or (n - lengths[start]) % 2:
         return
-    if n == 0:  # only the identity has a factorization of length 0
-        yield 0
-        return
-    identity = w.element_ids()[w.identity.comps]
-    reflection_of = {mult[t][identity]: t for t in range(n_refl)}
-    if n == 1:
-        if budget is not None:
-            budget.charge("max_tuples", n_refl)
-        yield reflection_of[start]
-        return
-    square = n_refl * n_refl
-    pairs: dict[int, list[int]] = {}
+    # children are pushed last to first, so they are popped in order
+    rows = list(enumerate(w.refl_mult_table))[::-1]
     stack = [(start, n, 0)]
     while stack:
         q, remaining, code = stack.pop()
+        if remaining == 0:
+            yield code
+            continue
         if budget is not None:
             budget.charge("max_tuples", n_refl)
-        if remaining > 2:
-            stack.extend(
-                (nq, remaining - 1, code * n_refl + t)
-                for t in range(n_refl - 1, -1, -1)
-                if lengths[nq := mult[t][q]] < remaining
-            )
-            continue
-        if q not in pairs:
-            pairs[q] = [
-                t * n_refl + reflection_of[mult[t][q]]
-                for t in range(n_refl)
-                if lengths[mult[t][q]] == 1
-            ]
-        code *= square
-        for pair in pairs[q]:
-            if budget is not None:
-                budget.charge("max_tuples", n_refl)
-            yield code + pair
+        code *= n_refl
+        remaining -= 1
+        stack.extend(
+            (nq, remaining, code + t)
+            for t, row in rows
+            if lengths[nq := row[q]] <= remaining
+        )
 
 
 class WalkSize(NamedTuple):
     """The size of one run of :func:`factorization_codes`: the codes it
-    yields, and the nodes and leaves it visits, each of which charges
-    ``max_tuples`` with ``|T|``."""
+    yields, and the nodes it visits, each of which charges ``max_tuples``
+    with ``|T|``."""
 
     codes: int
     visits: int
@@ -306,9 +286,8 @@ def walk_size(
     odd.  Otherwise it visits the node and steps to ``(t e, n - 1)``
     exactly when ``l(t e) < n``, so ``N(e, n)`` sums ``N(t e, n - 1)``
     over those ``t``, plus one visit.  At ``n = 0``, which only the
-    identity reaches, the walk yields one code and visits nothing, so two
-    slots left count the ``t`` with ``l(t e) = 1``, one leaf each, as the
-    walker does.  A walk that visits nothing charges nothing.
+    identity reaches, the walk yields one code and visits nothing.  A walk
+    that visits nothing charges nothing.
     """
     start, n = _walk_root(g, length)
     w = g.group
@@ -333,6 +312,22 @@ def _walk_size(w: CoxeterGroup, e: int, n: int) -> WalkSize:
             codes += below.codes
             visits += below.visits
     return WalkSize(codes, visits + 1)
+
+
+def _visits_through(w: CoxeterGroup, e: int, factors: tuple[int, ...]) -> int:
+    """The nodes the walk from the element with id ``e`` visits before it
+    yields ``factors``: along that path, each node and the whole walk below
+    each lesser sibling (:func:`_walk_size`)."""
+    lengths = length_table(w)
+    mult = w.refl_mult_table
+    visits, q, remaining = 0, e, len(factors)
+    for t in factors:
+        visits += 1
+        for row in mult[:t]:
+            if lengths[row[q]] < remaining:
+                visits += _walk_size(w, row[q], remaining - 1).visits
+        q, remaining = mult[t][q], remaining - 1
+    return visits
 
 
 def factorizations(
@@ -392,25 +387,38 @@ class Classification:
 def classify_element(g: GroupElement, budget: Budget | None = None) -> Classification:
     """Decide the quasi-Coxeter properties of ``g``.
 
-    The search stops at the first reduced factorization that generates the
-    parabolic closure.  Like every whole-group query it reads only the
-    integer tables: the closure's reflections are
-    :func:`_lowering_reflections`.
+    Hurwitz moves keep the generated subgroup, so it tests the least member
+    of each orbit of ``hurwitz._orbit_blocks``, in their order; the first
+    that generates the parabolic closure is the walker's first, and the
+    walker's charge up to it (or of the whole walk) is charged.  Like every
+    whole-group query it reads only the integer tables: the closure's
+    reflections are :func:`_lowering_reflections`.
     """
+    from .hurwitz import _orbit_blocks  # hurwitz imports this module
+
     w = g.group
+    n_refl = w.num_reflections
     e = w.element_ids()[g.comps]
+    n = length_table(w)[e]
     below = frozenset(_lowering_reflections(w, e))
     # the parabolic closure's reflections are exactly ``below``, and T
     # generates W, so the closure is W exactly when ``below`` is all of T
-    whole = len(below) == w.num_reflections
+    whole = len(below) == n_refl
     # the factors lie in the parabolic closure, so they generate it exactly
     # when their reflection closure is all of ``below``
-    facts = reduced_factorizations(g, budget)
-    witness = next((f for f in facts if w.reflection_closure(f) == below), None)
+    reps = (decode(least, n, n_refl) for least in _orbit_blocks(w, e, n).least)
+    witness = next((f for f in reps if w.reflection_closure(f) == below), None)
+    if budget is not None:
+        if witness is None:
+            visits = _walk_size(w, e, n).visits
+        else:
+            visits = _visits_through(w, e, witness)
+        if visits:
+            budget.charge("max_tuples", n_refl * visits)
     is_pqc = witness is not None
     return Classification(
         element=g,
-        length=length_table(w)[e],
+        length=n,
         closure_is_whole=whole,
         is_parabolic_quasi_coxeter=is_pqc,
         is_quasi_coxeter=is_pqc and whole,

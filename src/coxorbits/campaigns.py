@@ -183,8 +183,13 @@ def _items_carter(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
 
 
 def _items_pqc(w: CoxeterGroup, cfg: CampaignConfig) -> list[Item]:
+    """The verdict and transitivity read ``hurwitz._orbit_blocks``, built
+    here; the down-set and the full length are independent of it and of
+    each other."""
     _warm_tables(w)
     absorder.quasi_coxeter_elements(w)
+    for e, length in enumerate(absorder.length_table(w)):
+        hurwitz._orbit_blocks(w, e, length)
     n = w.rank
 
     def check(g, budget):

@@ -14,9 +14,10 @@ factorization one integer in base ``N = |T|`` with the first factor most
 significant (:func:`~coxorbits.absorder.encode`), so integer order is
 lexicographic order.  A left move at position ``i`` reads the pair
 ``(a, b)`` as one base-``N**2`` digit and adds a per-group table entry times
-that digit's place value, with no tuple built.  Single orbits are walked
-breadth-first using left moves only: on a finite set the monoid generated by
-bijections is the group they generate, so inverse moves reach nothing new.
+that digit's place value, with no tuple built.  Single orbits (the
+element-level API) are walked breadth-first using left moves only: on a
+finite set the monoid generated by bijections is the group they generate,
+so inverse moves reach nothing new.
 Left normal shape is a digit test too: the leading digits must be doubled
 pairs ``a N + a``.
 
@@ -37,7 +38,7 @@ counts its ground set without walking it, by
 and that each representative and witness multiplies to ``g``.  Moves keep
 the generated subgroup, so the full factorizations are a union of orbits,
 kept by one generation test per orbit.  Only representatives and witnesses
-are decoded.
+are decoded.  Transitivity on reduced factorizations is one orbit or none.
 
 Every orbit carries its invariant: the content-addressed key of the subgroup
 generated by the factors, together with the multiset of conjugacy classes
@@ -54,7 +55,6 @@ from typing import Callable, NamedTuple
 from .absorder import (
     decode,
     encode,
-    factorization_codes,
     factorizations,
     full_factorization_codes,
     full_reflection_length,
@@ -224,18 +224,12 @@ def _shared_row(w: CoxeterGroup, row: tuple[int, ...]) -> tuple[int, ...]:
     return row
 
 
-def _lr_shape(
-    n_refl: int, length: int, base_length: int
-) -> Callable[[int], bool] | None:
-    """The left-normal-shape test on codes of ``length`` factors whose
-    product has reflection length ``base_length``: the leading
-    ``length - base_length`` digits are doubled pairs, that is, each
-    base-``N**2`` digit of ``code // N**base_length`` is ``a N + a``, a
-    multiple of ``N + 1``.  ``None`` when the excess is odd or negative,
-    since then no member has the shape."""
-    excess = length - base_length
-    if excess < 0 or excess % 2:
-        return None
+def _lr_shape(n_refl: int, base_length: int) -> Callable[[int], bool]:
+    """The left-normal-shape test on codes of factorizations whose product
+    has reflection length ``base_length``: the digits before the last
+    ``base_length`` are doubled pairs, that is, each base-``N**2`` digit of
+    ``code // N**base_length`` is ``a N + a``, a multiple of ``N + 1``
+    (reflection length keeps the parity of the factor count)."""
     scale = n_refl**base_length
     square = n_refl * n_refl
     double = n_refl + 1
@@ -251,30 +245,19 @@ def _lr_shape(
     return doubled_lead
 
 
-def _walk_orbit(
-    w: CoxeterGroup,
-    start: int,
-    length: int,
-    budget: Budget | None,
-    in_shape: Callable[[int], bool] | None,
-) -> tuple[set[int], int | None]:
-    """Breadth-first orbit of one coded factorization (see
-    :func:`~coxorbits.absorder.encode`) of ``length`` factors under left
-    moves.
-
-    Returns the orbit's codes and the first member found that passes
-    ``in_shape`` (``None`` when ``in_shape`` is ``None`` or nothing passes).
-    A left move at position ``i`` reads the pair ``c // s_i % N**2`` with
+def _walk_factorization(
+    fact: Factorization, budget: Budget | None
+) -> tuple[set[int], tuple[int, ...] | None]:
+    """Breadth-first orbit of ``fact`` under left moves, on codes (see
+    :func:`~coxorbits.absorder.encode`): the orbit's codes and the first
+    member found in left normal shape, decoded (``None`` when there is
+    none).  Each layer charges ``max_states`` with its size.  A left move
+    at position ``i`` reads the pair ``c // s_i % N**2`` with
     ``s_i = N**(length - 2 - i)`` and adds its move delta times ``s_i``.
 
     It serves :func:`hurwitz_orbit` and :func:`find_lr_witness`, which need
     no element table and so work on E7 and E8 too, where
-    :func:`_orbit_blocks` cannot run, and
-    :func:`hurwitz_transitive_on_reduced`: a version of that on
-    :func:`_orbit_blocks`, with the same verdicts and charges, was slower on
-    the ``classify`` benchmark (6 interleaved pairs, seeds 1-6, 8 s each,
-    on a 2-core VM, Python 3.11: ``item_p50_ms`` 0.121 -> 0.165 and
-    ``items_per_s`` 4503 -> 3766).  It is written out rather than run on
+    :func:`_orbit_blocks` cannot run.  It is written out rather than run on
     ``groups.breadth_first``: that primitive calls ``expand`` on each layer
     and rebuilds the layer as a list of the states not seen, while here the
     seen test, the layer list and the shape test share one pass over the
@@ -282,12 +265,13 @@ def _walk_orbit(
     4 % slower end to end and 8 % slower at the 90th-percentile item, when
     partitions still walked their orbits).
     """
+    w, length, n_refl = fact.group, len(fact), fact.group.num_reflections
+    in_shape = _lr_shape(n_refl, reflection_length(fact.product()))
     delta = _move_deltas(w)
-    n_refl = w.num_reflections
     square = n_refl * n_refl
     scales = [n_refl ** (length - 2 - i) for i in range(length - 1)]
-    witness = start if in_shape is not None and in_shape(start) else None
-    looking = in_shape is not None and witness is None
+    start = encode(fact.factors, n_refl)
+    witness = start if in_shape(start) else None
     seen = {start}
     add = seen.add
     frontier = [start]
@@ -302,21 +286,10 @@ def _walk_orbit(
                 if nc not in seen:
                     add(nc)
                     push(nc)
-                    if looking and in_shape(nc):
-                        witness, looking = nc, False
+                    if witness is None and in_shape(nc):
+                        witness = nc
         frontier = new
-    return seen, witness
-
-
-def _walk_factorization(
-    fact: Factorization, budget: Budget | None
-) -> tuple[set[int], tuple[int, ...] | None]:
-    """:func:`_walk_orbit` from ``fact`` with the left-normal-shape test for
-    its product: the orbit's codes and the decoded witness."""
-    w, n, n_refl = fact.group, len(fact), fact.group.num_reflections
-    in_shape = _lr_shape(n_refl, n, reflection_length(fact.product()))
-    seen, witness = _walk_orbit(w, encode(fact.factors, n_refl), n, budget, in_shape)
-    return seen, None if witness is None else decode(witness, n, n_refl)
+    return seen, None if witness is None else decode(witness, length, n_refl)
 
 
 def hurwitz_orbit(
@@ -584,17 +557,21 @@ def hurwitz_transitive_on_reduced(
     g: GroupElement, budget: Budget | None = None
 ) -> bool:
     """Whether the Hurwitz action is transitive on the reduced reflection
-    factorizations of ``g``.  The ground set is counted by
-    :func:`~coxorbits.absorder.walk_size`, which charges the walker's
-    ``max_tuples`` total at once, so its first code is taken uncharged.
-    Moves keep the product and the length, so the orbit of that code never
-    leaves the ground set and its size decides."""
-    n = _ground_length(g, None, budget, False)
+    factorizations of ``g``: at most one orbit in :func:`_orbit_blocks`,
+    which must cover the ground set that
+    :func:`~coxorbits.absorder.walk_size` counts and charges.  Beyond one
+    factorization, ``max_states`` is charged orbit 0's size, as a walk from
+    the least factorization would."""
+    w = g.group
+    e = w.element_ids()[g.comps]
+    n = length_table(w)[e]
     total = walk_size(g, n, budget).codes
-    if total <= 1:
-        return True
-    seen, _ = _walk_orbit(g.group, next(factorization_codes(g, n)), n, budget, None)
-    return len(seen) == total
+    sizes = _orbit_blocks(w, e, n).sizes
+    if sum(sizes) != total:
+        raise BadFactorization("orbits do not cover their ground set")
+    if budget is not None and total > 1:
+        budget.charge("max_states", sizes[0])
+    return len(sizes) <= 1
 
 
 def find_lr_witness(
@@ -625,5 +602,5 @@ def is_lr_shape(fact: Factorization) -> bool:
     [True, False]
     """
     n_refl = fact.group.num_reflections
-    in_shape = _lr_shape(n_refl, len(fact), reflection_length(fact.product()))
-    return in_shape is not None and in_shape(encode(fact.factors, n_refl))
+    in_shape = _lr_shape(n_refl, reflection_length(fact.product()))
+    return in_shape(encode(fact.factors, n_refl))

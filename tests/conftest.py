@@ -4,7 +4,9 @@ from typing import Callable
 
 import pytest
 
+from coxorbits.absorder import reduced_factorizations, reflections_fixing
 from coxorbits.groups import build_group
+from coxorbits.hurwitz import Factorization, _walk_factorization
 from coxorbits.linalg import Matrix, kernel_basis, rank
 from coxorbits.roots import IrreducibleDatum
 from coxorbits.scalars import HALF, Scalar
@@ -214,6 +216,28 @@ def brute_reduced_factorizations(g, k: int) -> list[tuple[int, ...]]:
     """Oracle: all length-k reflection tuples multiplying to ``g``, found by
     filtering the full product space (exponential; tiny inputs only)."""
     return list(_brute_products(g.group, k).get(g, []))
+
+
+def walker_witness(g, budget=None) -> tuple[int, ...] | None:
+    """Oracle for ``classify_element``'s witness and charge, independent of
+    the Hurwitz orbit table: the factorization walker's first reduced
+    factorization whose reflection closure is every reflection fixing
+    ``Fix(g)``, found by geometry; the walk charges ``budget`` as it goes."""
+    below = frozenset(reflections_fixing(g))
+    facts = reduced_factorizations(g, budget)
+    return next((f for f in facts if g.group.reflection_closure(f) == below), None)
+
+
+def walker_transitive(g, budget=None) -> bool:
+    """Oracle for ``hurwitz_transitive_on_reduced`` and its charge,
+    independent of the Hurwitz orbit table: walk every reduced
+    factorization, then, when there is more than one, the orbit of the
+    least by left moves."""
+    facts = list(reduced_factorizations(g, budget))
+    if len(facts) <= 1:
+        return True
+    seen, _ = _walk_factorization(Factorization(g.group, facts[0]), budget)
+    return len(seen) == len(facts)
 
 
 def fixed_space_codim(m: Matrix) -> int:

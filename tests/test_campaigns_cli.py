@@ -10,7 +10,7 @@ import time
 import pytest
 
 import coxorbits
-from coxorbits import absorder
+from coxorbits import absorder, hurwitz
 from coxorbits.budget import Budget
 from coxorbits.campaigns import (
     _CAMPAIGNS,
@@ -292,12 +292,32 @@ def per_group_functions() -> set[str]:
 MEMO_CAMPAIGNS = ("pqc-characterization", "conjecture", "min-full-transitivity")
 
 
+def orbit_walk_records(w, max_tuples) -> list:
+    """Single-orbit walks, which no campaign makes: ``hurwitz_orbit`` and
+    ``find_lr_witness`` from a Coxeter element's simple factorization
+    followed by a doubled reflection ``(t, t)``, with the charges, or the
+    cap that ran over."""
+    out = []
+    for t in range(0, w.num_reflections, 3):
+        fact = hurwitz.Factorization(w, (*w.simple_reflection_ids, t, t))
+        budget = Budget(max_tuples=max_tuples)
+        try:
+            orbit = hurwitz.hurwitz_orbit(fact, budget)
+            witness = hurwitz.find_lr_witness(fact, budget)
+            found = orbit.representative.factors, orbit.size, witness.factors
+            out.append((*found, orbit.invariant, budget.spent))
+        except CapExceeded as e:
+            out.append(("skip", e.cap))
+    return out
+
+
 def item_records(w, max_tuples) -> dict[str, list]:
     """Each memo-heavy campaign's items, and ``carter``'s, whose parabolic
     closures go through ``groups.reflection_subgroup``, built through
     ``_CAMPAIGNS`` and run on ``w``: the key, then the verdict, payload and
-    charges, or the cap that skipped the item."""
-    out = {}
+    charges, or the cap that skipped the item; and the single-orbit walks
+    of :func:`orbit_walk_records`."""
+    out = {"orbit walks": orbit_walk_records(w, max_tuples)}
     for campaign in (*MEMO_CAMPAIGNS, "carter"):
         cfg = CampaignConfig(w.name, campaign, max_tuples=max_tuples)
         out[campaign] = records = []

@@ -1,16 +1,23 @@
 """Hurwitz moves, orbits, invariants and the orbit/invariant bijection.
 
 The left-moves-only BFS is cross-checked against a two-sided walk using the
-public move API, and enumeration against brute-force product filtering."""
+public move API, enumeration against brute-force product filtering, and
+classification and transitivity on the orbit table against the walker."""
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_reduced_factorizations, cached_group
+from conftest import (
+    brute_reduced_factorizations,
+    cached_group,
+    walker_transitive,
+    walker_witness,
+)
 from coxorbits import build_group, hurwitz
 from coxorbits.absorder import (
+    classify_element,
     encode,
     full_factorization_codes,
     full_reflection_length,
@@ -557,8 +564,8 @@ def test_full_partition_matches_enumeration(label, offsets):
                 for o in partition_into_orbits(g, n)
             )
             assert reps == [c for c in leasts if c in yielded]
-            for rep in reps:
-                seen, _ = hurwitz._walk_orbit(w, rep, n, None, None)
+            for orbit, rep in zip(orbits, reps):
+                seen, _ = hurwitz._walk_factorization(orbit.representative, None)
                 assert min(seen) == rep
 
 
@@ -569,8 +576,7 @@ def test_block_partition_matches_walks_on_d4():
     for g in w.elements():
         n = reflection_length(g) + 2
         for orbit in partition_into_orbits(g, n):
-            start = encode(orbit.representative.factors, w.num_reflections)
-            seen, _ = hurwitz._walk_orbit(w, start, n, None, None)
+            seen, _ = hurwitz._walk_factorization(orbit.representative, None)
             assert len(seen) == orbit.size
 
 
@@ -617,6 +623,47 @@ def test_transitivity_on_reduced():
     c3 = coxeter_element(b3)
     minus = c3 * c3 * c3
     assert not hurwitz_transitive_on_reduced(minus)
+
+
+def block_routes(g, budget):
+    """The classification's witness and verdict and the transitivity
+    verdict, as the ``pqc-characterization`` campaign asks for them."""
+    cls = classify_element(g, budget)
+    transitive = hurwitz_transitive_on_reduced(g, budget)
+    return cls.witness, cls.is_parabolic_quasi_coxeter, transitive
+
+
+def walker_routes(g, budget):
+    """:func:`block_routes` by the walker oracles of ``conftest``."""
+    witness = walker_witness(g, budget)
+    return witness, witness is not None, walker_transitive(g, budget)
+
+
+def capped(routes, g, cap):
+    """``routes`` on ``g`` under a fresh budget capped at ``cap``, with the
+    budget's charges, or the cap that ran over."""
+    budget = Budget(max_tuples=cap)
+    try:
+        return routes(g, budget), budget.spent
+    except CapExceeded as e:
+        return "skip", e.cap
+
+
+@pytest.mark.parametrize(
+    "label", ["A3", "B3", "H3", "D4", "F4", "B2xA1", "A2xI2(5)", "I2(6)"]
+)
+def test_block_routes_match_the_walker(label):
+    """On every element, uncapped and at two caps, classification and
+    transitivity on the orbit table give the witness, verdicts and charges
+    of the walker routes, which never read the table."""
+    w = cached_group(label)
+    outcomes = set()
+    for cap in (None, 60, 600):
+        for g in w.elements():
+            got = capped(block_routes, g, cap)
+            assert got == capped(walker_routes, g, cap), (g, cap)
+            outcomes.add((cap is None, got[0] == "skip"))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_transitivity_on_min_full():
