@@ -46,6 +46,7 @@ def battery(heavy: bool) -> list[tuple[str, str, dict]]:
         runs.append(("H4", "carter", {}))
         runs.append(("H4", "pqc-characterization", {}))
         runs.append(("E6", "carter", {}))
+        runs.append(("E6", "pqc-characterization", {}))
         runs.append(("D5", "carter", {}))
         runs.append(("D5", "pqc-characterization", {}))
     for label in CONJECTURE_GROUPS:
@@ -84,7 +85,7 @@ def main() -> int:
         action="store_true",
         help="include the slow sweeps: F4 carter, conjecture, lr-normal-form, "
         "pqc-characterization, min-full-transitivity and min-equals-min, "
-        "H4 carter and pqc-characterization, E6 carter, and D5 carter and "
+        "H4 and E6 carter and pqc-characterization, and D5 carter and "
         "pqc-characterization",
     )
     args = ap.parse_args()

@@ -54,7 +54,10 @@ one and keeps the span; one outside ``U'`` lies outside
 span.  A factorization of ``g`` that generates W spans the whole space, so
 the full length is at least ``2n - l(g)`` (``n`` the rank), and every
 shorter length fails at once.  The search reads the span of a state from
-the integer tables (:func:`_moved_dimension`).
+the integer tables (:func:`_moved_dimension`).  The full length is a class
+function, so the search runs from the class's least element and its memo
+serves the whole class; a budget is still charged the search from the
+element itself.
 
 The parabolic closure of an element is the pointwise stabilizer of its fixed
 space, realized here as the subgroup generated by every reflection whose
@@ -490,19 +493,36 @@ def full_reflection_length(
     factorization; a reduced factorization extended by pairs of simple
     reflections shows that ``l(g) + 2n`` always suffices.  The rank bound
     (see the module docstring) makes it at least ``2n - l(g)``: every
-    shorter length fails at its first state, unsearched.  With a budget,
-    each length tried charges ``max_tuples`` with ``|T|`` for every state
-    its search expands, counted as if nothing were memoized, so the charge
-    does not depend on what ran before on the group.
+    shorter length fails at its first state, unsearched.
+
+    The length is a class function: conjugation by ``x`` maps the
+    factorizations of ``g`` onto those of ``x g x^-1`` and their reflection
+    sets onto sets generating the same conjugate of W, which is W.  So the
+    searches run from the class's least element (``w.class_labels``), and
+    the ``_full_search`` memo shares them across the class.
+
+    With a budget, each length tried charges ``max_tuples`` with ``|T|``
+    for every state a search from ``g`` itself expands, counted as if
+    nothing were memoized, so the charge does not depend on what ran before
+    on the group.  A failing length expands exactly the walker's nodes
+    (:class:`_FullSearch`), so it charges :func:`_walk_size`'s visits from
+    ``g`` and runs no search of its own.  The answer length charges the
+    expansions of the search from ``g``, which stops at its first success
+    and so depends on the order of the factors, not on the class alone.
     """
     w = g.group
     start = w.element_ids()[g.comps]
+    rep = w.class_labels[start]
     base = length_table(w)[start]
     for length in range(base, base + 2 * w.rank + 1, 2):
-        search = _full_search(w, start, length, frozenset())
+        found = _full_search(w, rep, length, frozenset()).found
         if budget is not None:
-            budget.charge("max_tuples", w.num_reflections * search.expanded)
-        if search.found:
+            if found:
+                expanded = _full_search(w, start, length, frozenset()).expanded
+            else:
+                expanded = _walk_size(w, start, length).visits
+            budget.charge("max_tuples", w.num_reflections * expanded)
+        if found:
             return length
     raise AssertionError("no full factorization found in bound")
 
@@ -512,7 +532,11 @@ class _FullSearch(NamedTuple):
     and how many states a search without memo expands from it, stopping at
     the first success.  A state with no completion expands the walker's
     nodes from it (:func:`_walk_size`): none of them has the closure T,
-    and none stops early."""
+    and none stops early.  That count is a class function of the root
+    element, since walk sizes are; the count of a state that succeeds is
+    not, as it stops at the first success in the factors' order (27 of
+    B3's 48 elements expand a different number of states than their
+    class's least element)."""
 
     found: bool
     expanded: int

@@ -23,7 +23,10 @@ quasi-Coxeter classifiers, checked against independent oracles:
   reflection length's state search vs the first length at which full
   factorization codes exist,
 * the full reflection length's ``max_tuples`` charge vs a search without
-  memo or pruning, on a cold and on a warm group alike,
+  memo or pruning, on a cold and on a warm group alike, and a failing
+  length's search expansions vs the walker's visits,
+* the full reflection length's searches start only at the least element
+  of a conjugacy class,
 * the rank bound that prunes the full length's search: the roots of
   every factorization of ``g`` of length ``m = l(g)`` or ``l(g) + 2``
   span at most ``(m + l(g)) / 2`` dimensions (``Scalar`` rank), the
@@ -857,11 +860,45 @@ def first_full_length(g) -> int:
     return length
 
 
-@pytest.mark.parametrize("label", ["D4", "A4", "B2xA1"])
+@pytest.mark.parametrize(
+    "label", ["D4", "A4", "B2xA1", "B3", "H3", "A2xI2(5)", "I2(6)"]
+)
 def test_full_length_matches_full_factorization_codes(label):
     w = cached_group(label)
     for g in w.elements():
         assert full_reflection_length(g) == first_full_length(g), g
+
+
+@pytest.mark.parametrize("label", ["B3", "H3", "D4", "F4", "A2xI2(5)"])
+def test_full_length_searches_only_class_representatives(label):
+    """On a fresh group, the uncapped full length of every element roots
+    its searches at the least element of its conjugacy class."""
+    w = build_group(label)
+    for g in w.elements():
+        full_reflection_length(g)
+    labels = w.class_labels
+    roots = [q for q, _, closed in w.memos["_full_search"] if not closed]
+    assert roots
+    assert all(labels[q] == q for q in roots)
+
+
+@pytest.mark.parametrize(
+    "label", ["A3", "B3", "H3", "D4", "B2xA1", "A2xI2(5)", "I2(6)", "A4"]
+)
+def test_failing_full_search_expands_the_walkers_nodes(label):
+    """At every length below an element's full length, its search expands
+    exactly the walker's nodes, the charge a failing length makes without
+    searching from the element."""
+    w = build_group(label)
+    ids = w.element_ids()
+    for g in w.elements():
+        e = ids[g.comps]
+        full = full_reflection_length(g)
+        for length in range(reflection_length(g), full, 2):
+            search = absorder._full_search(w, e, length, frozenset())
+            assert not search.found, (g, length)
+            visits = absorder._walk_size(w, e, length).visits
+            assert search.expanded == visits, (g, length)
 
 
 def plain_search_expansions(g, length) -> tuple[bool, int]:
